@@ -13,10 +13,6 @@ namespace muxlink::common {
 
 namespace {
 
-// Set while a thread is executing chunks of some parallel_for; nested calls
-// observing it run inline instead of enqueueing (no-deadlock guarantee).
-thread_local bool t_in_parallel_region = false;
-
 std::size_t default_num_threads() {
   if (const char* env = std::getenv("MUXLINK_THREADS")) {
     char* end = nullptr;
@@ -94,36 +90,39 @@ Pool& pool() {
 }
 
 // Shared state of one parallel_for invocation. Helpers hold a shared_ptr so
-// a helper scheduled after the caller finished draining still finds live
-// state; it then sees next >= nchunks and exits without touching `fn`.
+// a helper dequeued after the loop ended still finds live state; its first
+// claim is then past the end and it exits without touching `fn`.
 struct LoopState {
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
+  std::atomic<std::size_t> next{0};  // chunk claim counter
   std::exception_ptr error;          // first exception, guarded by error_m
   std::mutex error_m;
-  std::atomic<std::size_t> helpers_left{0};
+  std::atomic<std::size_t> active{0};  // helpers inside drain()
   std::mutex done_m;
   std::condition_variable done_cv;
 };
 
+// Claims are acq_rel: a helper raises `active` before its first claim, so a
+// claim of its that precedes the caller's final (past-the-end) claim makes
+// that increment visible to the caller's wait, and any later claim of its
+// is itself past the end.
 void drain(LoopState& st, std::size_t n, std::size_t chunk, std::size_t nchunks,
            const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  const bool was_in_region = t_in_parallel_region;
-  t_in_parallel_region = true;
   for (;;) {
-    const std::size_t c = st.next.fetch_add(1, std::memory_order_relaxed);
-    if (c >= nchunks || st.failed.load(std::memory_order_relaxed)) break;
+    const std::size_t c = st.next.fetch_add(1, std::memory_order_acq_rel);
+    if (c >= nchunks) return;
     const std::size_t begin = c * chunk;
     const std::size_t end = begin + chunk < n ? begin + chunk : n;
     try {
       fn(begin, end, c);
     } catch (...) {
-      std::lock_guard<std::mutex> lock(st.error_m);
-      if (!st.error) st.error = std::current_exception();
-      st.failed.store(true, std::memory_order_relaxed);
+      {
+        std::lock_guard<std::mutex> lock(st.error_m);
+        if (!st.error) st.error = std::current_exception();
+      }
+      // Skip the remaining chunks: every later claim lands past the end.
+      st.next.fetch_add(nchunks, std::memory_order_acq_rel);
     }
   }
-  t_in_parallel_region = was_in_region;
 }
 
 }  // namespace
@@ -143,30 +142,21 @@ void parallel_for(std::size_t n, std::size_t chunk,
   const std::size_t nchunks = num_chunks(n, chunk);
 
   Pool& p = pool();
-  if (p.size() <= 1 || nchunks <= 1 || t_in_parallel_region) {
-    // Sequential / nested fallback: run every chunk inline, in order.
-    const bool was_in_region = t_in_parallel_region;
-    t_in_parallel_region = true;
-    try {
-      for (std::size_t c = 0; c < nchunks; ++c) {
-        const std::size_t begin = c * chunk;
-        fn(begin, begin + chunk < n ? begin + chunk : n, c);
-      }
-    } catch (...) {
-      t_in_parallel_region = was_in_region;
-      throw;
+  if (p.size() <= 1 || nchunks <= 1) {
+    for (std::size_t c = 0; c < nchunks; ++c) {
+      const std::size_t begin = c * chunk;
+      fn(begin, begin + chunk < n ? begin + chunk : n, c);
     }
-    t_in_parallel_region = was_in_region;
     return;
   }
 
   auto st = std::make_shared<LoopState>();
   const std::size_t helpers = std::min(p.size() - 1, nchunks - 1);
-  st->helpers_left.store(helpers, std::memory_order_relaxed);
   for (std::size_t i = 0; i < helpers; ++i) {
     p.enqueue([st, n, chunk, nchunks, &fn] {
+      st->active.fetch_add(1, std::memory_order_acq_rel);
       drain(*st, n, chunk, nchunks, fn);
-      if (st->helpers_left.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      if (st->active.fetch_sub(1, std::memory_order_acq_rel) == 1) {
         std::lock_guard<std::mutex> lock(st->done_m);
         st->done_cv.notify_all();
       }
@@ -175,10 +165,10 @@ void parallel_for(std::size_t n, std::size_t chunk,
 
   drain(*st, n, chunk, nchunks, fn);
 
-  // Wait for every helper to finish so `fn` (captured by reference) stays
-  // alive for as long as any thread can still call it.
+  // Wait only for helpers that entered drain(): they may still be running
+  // `fn` (captured by reference). Helpers still queued will claim nothing.
   std::unique_lock<std::mutex> lock(st->done_m);
-  st->done_cv.wait(lock, [&] { return st->helpers_left.load(std::memory_order_acquire) == 0; });
+  st->done_cv.wait(lock, [&] { return st->active.load(std::memory_order_acquire) == 0; });
   lock.unlock();
 
   if (st->error) std::rethrow_exception(st->error);

@@ -4,8 +4,13 @@
 //   * Chunking depends ONLY on (n, chunk) — never on the pool size — so a
 //     caller that accumulates into chunk-indexed buffers and reduces them in
 //     chunk order gets bit-identical results for any thread count.
-//   * Nested parallel_for calls from inside a worker run inline (no task is
-//     enqueued), so nesting can never deadlock the pool.
+//   * Every call with more than one chunk shares the pool, nested or not;
+//     only a one-chunk loop or a one-thread pool runs inline. Nesting cannot
+//     deadlock: a caller drains its own chunks and then waits only for
+//     helpers already inside its loop, never for one still queued (a helper
+//     dequeued after the loop ended claims no chunk and never calls `fn`).
+//     Each waiting thread thus waits on threads running chunks of a loop
+//     nested strictly deeper than its own, so no cycle can form.
 //   * The first exception thrown by `fn` is captured and rethrown on the
 //     calling thread after every in-flight chunk has drained; remaining
 //     chunks are skipped.

@@ -240,8 +240,8 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
     };
   }
 
-  // One cell per chunk: cells run concurrently on the current pool while
-  // each cell's inner parallel_fors nest inline. Results land by index, and
+  // One cell per chunk: cells run concurrently on the current pool, and each
+  // cell's inner parallel_fors share it too. Results land by index, and
   // every cell is internally thread-count invariant, so the sweep output
   // does not depend on the worker count. The fault point fires after each
   // cell's manifest is on disk — an injected crash leaves a clean prefix

@@ -88,9 +88,10 @@ struct CampaignResult {
 };
 
 // Runs the sweep on the current thread pool (one cell per chunk; the cells'
-// inner parallel_fors nest inline). Cell manifests are written atomically as
-// each cell finishes — a crash mid-sweep (fault site `campaign.cell`) leaves
-// a resumable prefix. Throws std::invalid_argument for unknown scheme or
+// inner parallel_fors share the pool, so workers left idle by the sweep's
+// tail join the remaining cells' training). Cell manifests are written
+// atomically as each cell finishes — a crash mid-sweep (fault site
+// `campaign.cell`) leaves a resumable prefix. Throws std::invalid_argument for unknown scheme or
 // attack names before any cell runs.
 CampaignResult run_campaign(const CampaignOptions& opts);
 

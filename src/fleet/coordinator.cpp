@@ -458,9 +458,11 @@ struct FleetCoordinator::Impl {
   void dispatch_one(std::size_t idx, daemon::DaemonClient& client,
                     const std::shared_ptr<FleetJob>& job) {
     std::string backend_addr;
+    int attempt = 0;  // claim_hedge_locked bumps job->attempts under m
     {
       std::lock_guard<std::mutex> lock(m);
       backend_addr = backends[idx].address;
+      attempt = job->attempts;
     }
     std::string remote_id;
     try {
@@ -468,7 +470,7 @@ struct FleetCoordinator::Impl {
       common::Json prov = common::Json::object();
       prov["coordinator"] = "muxlink-coord";
       prov["origin_id"] = job->id;
-      prov["attempt"] = job->attempts;
+      prov["attempt"] = attempt;
       remote_id = client.has_cap(daemon::kCapForwarded) ? client.submit_forwarded(job->spec, prov)
                                                         : client.submit(job->spec);
       const bool long_poll = client.has_cap(daemon::kCapWaitResult);

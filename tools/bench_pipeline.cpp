@@ -16,6 +16,10 @@
 // measure) and the manifest records thread_speedup_skipped=1 with the reason
 // in extra; the bit-identity exit gate then only covers the 1-thread run.
 //
+// Exit 3 on a determinism break, and also when a host with >= 4 hardware
+// threads running the N-thread leg at >= 4 threads measures a
+// thread_speedup below 1.8 (training not reaching the pool shows up as ~1x).
+//
 // stdout is always the compact single-line manifest; --report additionally
 // writes it pretty-printed to F.
 #include <fstream>
@@ -34,6 +38,9 @@
 namespace {
 
 using namespace muxlink;
+
+constexpr double kSpeedupFloor = 1.8;
+constexpr std::size_t kSpeedupFloorThreads = 4;
 
 core::MuxLinkResult run_attack(const netlist::Netlist& locked, const core::MuxLinkOptions& opts,
                                std::size_t threads) {
@@ -86,6 +93,7 @@ int main(int argc, char** argv) {
     m.add_stage("total_1", base.total_seconds);
 
     bool identical = true;
+    double speedup = 0.0;
     if (!skip_threads) {
       const auto fast = run_attack(locked.netlist, opts, threads);
       identical = base.key == fast.key;
@@ -93,8 +101,7 @@ int main(int argc, char** argv) {
         identical = base.likelihoods[i].score_a == fast.likelihoods[i].score_a &&
                     base.likelihoods[i].score_b == fast.likelihoods[i].score_b;
       }
-      const double speedup =
-          fast.total_seconds > 0.0 ? base.total_seconds / fast.total_seconds : 0.0;
+      speedup = fast.total_seconds > 0.0 ? base.total_seconds / fast.total_seconds : 0.0;
       m.add_stage("sample_n", fast.sample_seconds);
       m.add_stage("train_n", fast.train_seconds);
       m.add_stage("score_n", fast.score_seconds);
@@ -122,7 +129,14 @@ int main(int argc, char** argv) {
       if (!os) throw std::runtime_error("cannot write '" + *report + "'");
       os << j.dump_pretty() << "\n";
     }
-    return identical ? 0 : 3;
+    if (!identical) std::cerr << "error: N-thread run is not bit-identical to 1 thread\n";
+    const bool too_slow = !skip_threads && hw >= kSpeedupFloorThreads &&
+                          threads >= kSpeedupFloorThreads && speedup < kSpeedupFloor;
+    if (too_slow) {
+      std::cerr << "error: thread_speedup " << speedup << " at " << threads
+                << " threads is below the " << kSpeedupFloor << "x floor\n";
+    }
+    return identical && !too_slow ? 0 : 3;
   } catch (const std::exception& e) {
     std::cerr << "error: " << e.what() << "\n";
     return 2;
