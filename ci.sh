@@ -35,6 +35,9 @@
 #   ./ci.sh tsan     # ThreadSanitizer build of the concurrent layers' suites:
 #                    # thread pool (nested loops share it), metrics,
 #                    # determinism, zoo, daemon and fleet
+#   ./ci.sh perfbench # the repo benchmark's helper self-tests, then a short
+#                    # warm_serve run (perfbench/run.py) whose output gates
+#                    # must all pass (exit 0)
 #
 # Build trees: build/ (Release, the same tree developers use), build-san/
 # (ASan+UBSan) and build-tsan/ (TSan, listed suites only). Benchmarks are
@@ -515,6 +518,12 @@ run_tsan() {
   done
 }
 
+run_perfbench() {
+  echo "== perfbench: self-tests + a short warm_serve run =="
+  python3 perfbench/run.py --selftest
+  python3 perfbench/run.py --workload warm_serve --seconds 2 --seed 1 >/dev/null
+}
+
 case "$stage" in
   tier1)  run_tier1 ;;
   san)    run_san ;;
@@ -526,7 +535,10 @@ case "$stage" in
   daemon) run_daemon ;;
   fleet)  run_fleet ;;
   tsan)   run_tsan ;;
-  all)    run_tier1; run_san; run_docs; run_faults; run_simd; run_serving; run_campaign; run_daemon; run_fleet; run_tsan ;;
-  *) echo "usage: $0 [tier1|san|docs|faults|simd|serving|campaign|daemon|fleet|tsan|all]" >&2; exit 64 ;;
+  perfbench) run_perfbench ;;
+  all)    run_tier1; run_san; run_docs; run_faults; run_simd; run_serving; run_campaign; run_daemon; run_fleet; run_tsan
+          run_perfbench ;;
+  *) echo "usage: $0 [tier1|san|docs|faults|simd|serving|campaign|daemon|fleet|tsan|perfbench|all]" >&2
+     exit 64 ;;
 esac
 echo "== ci.sh: $stage passed =="

@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 
 #include "gnn/simd.h"
 
@@ -55,8 +57,51 @@ int choose_sortpool_k(std::vector<int> sizes, double fraction) {
   return std::max(10, sizes[idx]);
 }
 
+namespace {
+// Throws std::invalid_argument unless `got` has `want`'s tensor count and
+// every tensor's logical shape.
+void require_shapes(const char* who, const std::vector<Matrix>& got,
+                    const std::vector<Matrix>& want) {
+  if (got.size() != want.size()) {
+    throw std::invalid_argument(std::string(who) + ": tensor count mismatch");
+  }
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    if (got[i].rows != want[i].rows || got[i].cols != want[i].cols) {
+      throw std::invalid_argument(std::string(who) + ": tensor " + std::to_string(i) +
+                                  " shape mismatch");
+    }
+  }
+}
+}  // namespace
+
 Dgcnn::Dgcnn(int feature_dim, const DgcnnConfig& config)
     : cfg_(config), feature_dim_(feature_dim), rng_(config.seed) {
+  const std::vector<bool> glorot = build_topology();
+  params_.reserve(grads_.size());
+  for (std::size_t i = 0; i < grads_.size(); ++i) {
+    Matrix m(grads_[i].rows, grads_[i].cols);
+    if (glorot[i]) m.glorot(rng_);
+    params_.push_back(std::move(m));
+  }
+}
+
+Dgcnn::Dgcnn(int feature_dim, const DgcnnConfig& config, std::vector<Matrix> params)
+    : cfg_(config), feature_dim_(feature_dim), rng_(config.seed) {
+  const std::vector<bool> glorot = build_topology();
+  require_shapes("Dgcnn", params, grads_);
+  // Leave the RNG exactly where the Glorot init would have: glorot() draws
+  // one variate per logical element, and a uniform double takes one step
+  // of a 64-bit engine.
+  static_assert(std::mt19937_64::word_size >= std::numeric_limits<double>::digits);
+  unsigned long long draws = 0;
+  for (std::size_t i = 0; i < params.size(); ++i) {
+    if (glorot[i]) draws += static_cast<unsigned long long>(params[i].rows) * params[i].cols;
+  }
+  rng_.discard(draws);
+  params_ = std::move(params);
+}
+
+std::vector<bool> Dgcnn::build_topology() {
   if (cfg_.conv_channels.empty()) throw std::invalid_argument("Dgcnn: need conv layers");
   if (cfg_.sortpool_k < 2) throw std::invalid_argument("Dgcnn: sortpool_k too small");
   cat_dim_ = std::accumulate(cfg_.conv_channels.begin(), cfg_.conv_channels.end(), 0);
@@ -66,14 +111,13 @@ Dgcnn::Dgcnn(int feature_dim, const DgcnnConfig& config)
     throw std::invalid_argument("Dgcnn: sortpool_k too small for the 1-D conv stack");
   }
 
+  std::vector<bool> glorot;
   auto add_param = [&](int rows, int cols, bool init) {
-    Matrix m(rows, cols);
-    if (init) m.glorot(rng_);
-    params_.push_back(std::move(m));
+    glorot.push_back(init);
     grads_.emplace_back(rows, cols);
     adam_m_.emplace_back(rows, cols);
     adam_v_.emplace_back(rows, cols);
-    return static_cast<int>(params_.size()) - 1;
+    return static_cast<int>(grads_.size()) - 1;
   };
 
   int in_dim = feature_dim_;
@@ -89,6 +133,7 @@ Dgcnn::Dgcnn(int feature_dim, const DgcnnConfig& config)
   b5_ = add_param(1, cfg_.dense_units, false);
   w6_ = add_param(2, cfg_.dense_units, true);
   b6_ = add_param(1, 2, false);
+  return glorot;
 }
 
 double Dgcnn::forward(const GraphSample& g, bool training, Workspace& ws,
@@ -434,16 +479,8 @@ void Dgcnn::zero_gradients() {
 }
 
 void Dgcnn::set_optimizer_state(const OptimizerState& state) {
-  if (state.m.size() != params_.size() || state.v.size() != params_.size()) {
-    throw std::invalid_argument("set_optimizer_state: tensor count mismatch");
-  }
-  for (std::size_t i = 0; i < params_.size(); ++i) {
-    if (state.m[i].rows != params_[i].rows || state.m[i].cols != params_[i].cols ||
-        state.v[i].rows != params_[i].rows || state.v[i].cols != params_[i].cols) {
-      throw std::invalid_argument("set_optimizer_state: tensor " + std::to_string(i) +
-                                  " shape mismatch");
-    }
-  }
+  require_shapes("set_optimizer_state", state.m, params_);
+  require_shapes("set_optimizer_state", state.v, params_);
   adam_m_ = state.m;
   adam_v_ = state.v;
   adam_t_ = state.t;
@@ -463,13 +500,7 @@ void Dgcnn::scale_gradients(double factor) {
 std::vector<Matrix> Dgcnn::save_parameters() const { return params_; }
 
 void Dgcnn::load_parameters(const std::vector<Matrix>& params) {
-  if (params.size() != params_.size()) throw std::invalid_argument("load_parameters: mismatch");
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (params[i].rows != params_[i].rows || params[i].cols != params_[i].cols) {
-      throw std::invalid_argument("load_parameters: tensor " + std::to_string(i) +
-                                  " shape mismatch");
-    }
-  }
+  require_shapes("load_parameters", params, params_);
   params_ = params;
 }
 

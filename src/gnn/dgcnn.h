@@ -74,7 +74,17 @@ struct DgcnnConfig {
 
 class Dgcnn {
  public:
+  // Fresh model: Glorot-initialised weights, zero biases, drawn from
+  // config.seed.
   Dgcnn(int feature_dim, const DgcnnConfig& config);
+
+  // Model that adopts `params` (save_parameters() order and shapes; views
+  // stay views) instead of initialising its own, so a loaded model never
+  // allocates or fills weights it would discard. Equivalent to the
+  // two-argument constructor followed by load_parameters(params), internal
+  // RNG state included. Throws std::invalid_argument on a count or shape
+  // mismatch.
+  Dgcnn(int feature_dim, const DgcnnConfig& config, std::vector<Matrix> params);
 
   const DgcnnConfig& config() const noexcept { return cfg_; }
   int feature_dim() const noexcept { return feature_dim_; }
@@ -150,6 +160,10 @@ class Dgcnn {
   double forward(const GraphSample& g, bool training, Workspace& ws,
                  std::mt19937_64* rng) const;
   void backward(const GraphSample& g, Workspace& ws, std::vector<Matrix>& grads) const;
+  // Validates the config, sets the layer geometry and parameter indices,
+  // and allocates the zeroed gradient and Adam buffers (which fix every
+  // parameter's shape); returns which parameters are Glorot-initialised.
+  std::vector<bool> build_topology();
 
   DgcnnConfig cfg_;
   int feature_dim_;

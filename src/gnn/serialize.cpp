@@ -149,7 +149,6 @@ Dgcnn load_model(std::istream& is) {
   const auto num_params = read_field<std::size_t>(ps, "parameter count");
   if (num_params > kMaxParams) fail("implausible parameter count");
 
-  Dgcnn model(feature_dim, cfg);
   std::vector<Matrix> params;
   params.reserve(num_params);
   for (std::size_t p = 0; p < num_params; ++p) {
@@ -170,11 +169,10 @@ Dgcnn load_model(std::istream& is) {
   std::string leftover;
   if (ps >> leftover) fail("trailing bytes after last tensor: '" + leftover + "'");
   try {
-    model.load_parameters(params);  // validates the shape count
+    return Dgcnn(feature_dim, cfg, std::move(params));  // validates every shape
   } catch (const std::invalid_argument& e) {
     fail(std::string("parameters do not match the declared topology: ") + e.what());
   }
-  return model;
 }
 
 Dgcnn load_model_file(const std::filesystem::path& path) {

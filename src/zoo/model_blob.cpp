@@ -83,12 +83,13 @@ struct Header {
   std::uint32_t payload_crc = 0;
 };
 
-// Parses and sanity-bounds the fixed header against the actual byte count.
-// Every later access is within [0, size) afterwards.
-Header parse_header(const char* base, std::size_t size) {
+// Parses and sanity-bounds the fixed header against the file's actual size.
+// `head` holds the file's first min(size, kHeaderLen) bytes; every later
+// access is within [0, size) afterwards.
+Header parse_header(const char* head, std::uint64_t size) {
   if (size < kHeaderLen) fail("file shorter than the fixed header");
-  if (std::memcmp(base, kMagic, kMagicLen) != 0) fail("bad magic (not an MXZOO1 blob)");
-  Cursor c{base + kMagicLen, size - kMagicLen};
+  if (std::memcmp(head, kMagic, kMagicLen) != 0) fail("bad magic (not an MXZOO1 blob)");
+  Cursor c{head + kMagicLen, kHeaderLen - kMagicLen};
   const auto header_version = c.get<std::uint32_t>("header version");
   if (header_version != kHeaderVersion) {
     fail("unsupported header version " + std::to_string(header_version));
@@ -396,9 +397,14 @@ LoadedModel load_model_blob(const std::filesystem::path& path, const LoadOptions
     }
   }
 
+  if (opts.with_optimizer && (h.flags & kFlagOptimizer) == 0) {
+    fail("blob carries no optimizer state (re-train or score without --warm-start)");
+  }
+
   std::vector<gnn::Matrix> params;
   gnn::Dgcnn::OptimizerState opt;
   for (const TensorEntry& e : table) {
+    if (e.kind != kParam && !opts.with_optimizer) continue;  // scoring never reads moments
     const auto rows = static_cast<int>(e.rows);
     const auto cols = static_cast<int>(e.cols);
     gnn::Matrix t;
@@ -423,25 +429,23 @@ LoadedModel load_model_blob(const std::filesystem::path& path, const LoadOptions
     }
   }
 
-  LoadedModel out{gnn::Dgcnn(feature_dim, cfg), meta, false, 0, nullptr};
   try {
-    out.model.load_parameters(params);
+    // The model adopts the tensors (views stay views): no weights are
+    // allocated or initialised only to be replaced.
+    LoadedModel out{gnn::Dgcnn(feature_dim, cfg, std::move(params)), meta, false, 0, nullptr};
     if (opts.with_optimizer) {
-      if ((h.flags & kFlagOptimizer) == 0) {
-        fail("blob carries no optimizer state (re-train or score without --warm-start)");
-      }
       opt.t = static_cast<long>(meta.int_or("adam_t", 0));
       out.model.set_optimizer_state(opt);
     }
+    if (mappable) {
+      out.mapped = true;
+      out.bytes_mapped = size;
+      out.mapping = std::move(mapping);
+    }
+    return out;
   } catch (const std::invalid_argument& e) {
     fail(std::string("tensors do not match the declared topology: ") + e.what());
   }
-  if (mappable) {
-    out.mapped = true;
-    out.bytes_mapped = size;
-    out.mapping = std::move(mapping);
-  }
-  return out;
 }
 
 common::Json read_blob_meta(const std::filesystem::path& path) {
@@ -451,13 +455,11 @@ common::Json read_blob_meta(const std::filesystem::path& path) {
   if (!is.read(head.data(), static_cast<std::streamsize>(kHeaderLen))) {
     fail("file shorter than the fixed header");
   }
-  // parse_header validates file_size against the byte count it is given, so
-  // probe the real size first rather than mapping/slurping the tensors.
+  // Only the header and the meta are read: the tensors never leave the disk.
   std::error_code ec;
   const auto size = std::filesystem::file_size(path, ec);
   if (ec) fail("cannot stat '" + path.string() + "'");
-  head.resize(static_cast<std::size_t>(size), '\0');
-  const Header h = parse_header(head.data(), head.size());
+  const Header h = parse_header(head.data(), size);
   std::string meta_bytes(static_cast<std::size_t>(h.meta_len), '\0');
   if (!is.read(meta_bytes.data(), static_cast<std::streamsize>(h.meta_len))) {
     fail("truncated meta region");

@@ -1,7 +1,7 @@
-// Fault-tolerance suite (DESIGN.md §8): CRC32 known answers, atomic file
-// writes, the deterministic fault injector, the checkpoint format's
-// corruption taxonomy, hardened model (de)serialization, divergence
-// rollback under injected NaN, in-process throw-interrupt resume, and the
+// Fault-tolerance suite (DESIGN.md §8): atomic file writes, the
+// deterministic fault injector, the checkpoint format's corruption
+// taxonomy, hardened model (de)serialization, divergence rollback under
+// injected NaN, in-process throw-interrupt resume, and the
 // kill-and-resume end-to-end drill through the CLI (SIGKILL at several
 // epochs and thread counts; the resumed model must be BYTE-identical to an
 // uninterrupted run's).
@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "common/atomic_file.h"
-#include "common/crc32.h"
 #include "common/fault.h"
 #include "gnn/checkpoint.h"
 #include "gnn/dgcnn.h"
@@ -61,21 +60,6 @@ std::string read_file(const fs::path& p) {
 void write_file(const fs::path& p, const std::string& bytes) {
   std::ofstream out(p, std::ios::binary);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-// --- crc32 --------------------------------------------------------------------
-
-TEST(Crc32, KnownAnswers) {
-  // IEEE 802.3 check value and a couple of anchors against bit rot.
-  EXPECT_EQ(common::crc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(common::crc32(""), 0u);
-  EXPECT_EQ(common::crc32("a"), 0xE8B7BE43u);
-}
-
-TEST(Crc32, SeedChainsIncrementalUpdates) {
-  const std::uint32_t whole = common::crc32("hello world");
-  const std::uint32_t part = common::crc32(" world", common::crc32("hello"));
-  EXPECT_EQ(part, whole);
 }
 
 // --- atomic_write_file --------------------------------------------------------

@@ -1,7 +1,8 @@
-// Serving-layer suite (DESIGN.md §11): streaming CRC, MXZOO1 blob round
-// trips (mmap and streaming-copy readers must agree bit for bit), registry
-// key schema + concurrent inserts + LRU gc, the per-link score cache, the
-// explicit tensor-layout version in the text model format, and the
+// Serving-layer suite (DESIGN.md §11): MXZOO1 blob round trips (mmap and
+// streaming-copy readers must agree bit for bit), a served model built from
+// its mapped tensors matching a loaded one, registry key schema +
+// concurrent inserts + LRU gc, the per-link score cache, the explicit
+// tensor-layout version in the text model format, and the
 // end-to-end zoo determinism contract (a zoo-served attack is bit-identical
 // to the training run that populated the entry). The e2e cases train small
 // models, so the suite is registered as a single heavy ctest entry.
@@ -121,45 +122,6 @@ void take_one_step(gnn::Dgcnn& model, std::uint64_t dropout_seed = 99) {
   model.accumulate_gradients(s, grads, dropout_seed);
   model.add_gradients(grads);
   model.adam_step(1);
-}
-
-// ---------------------------------------------------------------------------
-// Satellite 1: streaming CRC matches the one-shot API.
-
-TEST(Crc32, KnownAnswer) {
-  EXPECT_EQ(common::crc32("123456789"), 0xCBF43926u);
-  EXPECT_EQ(common::crc32(""), 0u);
-}
-
-TEST(Crc32, StreamingMatchesOneShot) {
-  std::string data(4099, '\0');
-  std::mt19937_64 rng(11);
-  for (char& c : data) c = static_cast<char>(rng());
-  const std::uint32_t whole = common::crc32(data);
-
-  for (std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{256},
-                            std::size_t{4096}, data.size()}) {
-    common::Crc32 crc;
-    for (std::size_t off = 0; off < data.size(); off += chunk) {
-      crc.update(std::string_view(data).substr(off, chunk));
-    }
-    EXPECT_EQ(crc.value(), whole) << "chunk=" << chunk;
-  }
-}
-
-TEST(Crc32, SeedChainingAndReset) {
-  const std::string a = "hello, ";
-  const std::string b = "zoo";
-  EXPECT_EQ(common::crc32(b, common::crc32(a)), common::crc32(a + b));
-
-  common::Crc32 crc;
-  crc.update(a);
-  crc.update(b.data(), b.size());
-  EXPECT_EQ(crc.value(), common::crc32(a + b));
-  crc.reset();
-  EXPECT_EQ(crc.value(), 0u);
-  crc.update("123456789");
-  EXPECT_EQ(crc.value(), 0xCBF43926u);
 }
 
 // ---------------------------------------------------------------------------
@@ -297,6 +259,89 @@ TEST_F(BlobTest, ReadBlobMetaIsACheapProbe) {
   EXPECT_EQ(meta["format"].as_string(), "muxlink-zoo-blob/v1");
   EXPECT_EQ(meta["test"].as_string(), "yes");
   EXPECT_THROW(zoo::read_blob_meta(dir_.path / "missing.mzb"), zoo::ZooError);
+}
+
+TEST_F(BlobTest, ReadBlobMetaRejectsAFileSizeMismatch) {
+  const auto model = small_model();
+  const std::string good = zoo::encode_model_blob(model, common::Json::object(), true);
+  const fs::path p = dir_.path / "size.mzb";
+
+  // Grown and truncated files: the header and meta are intact, only the
+  // real size disagrees with the header's file_size.
+  spew(p, good + "x");
+  EXPECT_THROW(zoo::read_blob_meta(p), zoo::ZooError);
+  spew(p, good.substr(0, good.size() - 1));
+  EXPECT_THROW(zoo::read_blob_meta(p), zoo::ZooError);
+
+  // A header whose file_size field (the u64 at offset 64) lies.
+  std::string lying = good;
+  const std::uint64_t bogus = good.size() * 2;
+  std::memcpy(lying.data() + 64, &bogus, sizeof bogus);
+  spew(p, lying);
+  EXPECT_THROW(zoo::read_blob_meta(p), zoo::ZooError);
+
+  spew(p, good);
+  EXPECT_NO_THROW(zoo::read_blob_meta(p));
+}
+
+// Dgcnn(fd, cfg, params) must be indistinguishable from the model it
+// replaces on the load paths, Dgcnn(fd, cfg) + load_parameters(params):
+// same inference, same dropout stream from the internal RNG (which pins how
+// far the adopting constructor advances it), same gradients. A mapped blob
+// load goes through the adopting constructor, so it must match too.
+TEST_F(BlobTest, AdoptingConstructorMatchesLoadParameters) {
+  auto trained = small_model(/*seed=*/21);
+  take_one_step(trained);
+  const std::vector<gnn::Matrix> params = trained.save_parameters();
+  const gnn::DgcnnConfig cfg = small_model().config();  // seed 7, not 21
+
+  gnn::Dgcnn loaded(6, cfg);
+  loaded.load_parameters(params);
+  gnn::Dgcnn adopted(6, cfg, params);
+  auto served = zoo::load_model_blob(write_blob(loaded, /*with_optimizer=*/false));
+  ASSERT_TRUE(served.mapped);
+
+  for (int i = 0; i < 16; ++i) {
+    const auto g = ring_sample(8 + i, 6, 100 + i);
+    const double want = loaded.predict(g);
+    EXPECT_TRUE(bit_equal(adopted.predict(g), want)) << "sample " << i;
+    EXPECT_TRUE(bit_equal(served.model.predict(g), want)) << "sample " << i;
+    const double want_train = loaded.predict(g, /*training=*/true);
+    EXPECT_TRUE(bit_equal(adopted.predict(g, true), want_train)) << "sample " << i;
+    EXPECT_TRUE(bit_equal(served.model.predict(g, true), want_train)) << "sample " << i;
+    const double want_loss = loaded.accumulate_gradients(g);
+    EXPECT_TRUE(bit_equal(adopted.accumulate_gradients(g), want_loss)) << "sample " << i;
+    EXPECT_TRUE(bit_equal(served.model.accumulate_gradients(g), want_loss)) << "sample " << i;
+  }
+  expect_params_bit_equal(adopted.gradients(), loaded.gradients());
+  expect_params_bit_equal(served.model.gradients(), loaded.gradients());
+}
+
+TEST_F(BlobTest, AdoptingConstructorRejectsShapeMismatches) {
+  const auto model = small_model();
+  std::vector<gnn::Matrix> params = model.save_parameters();
+  std::vector<gnn::Matrix> short_list(params.begin(), params.end() - 1);
+  EXPECT_THROW(gnn::Dgcnn(6, model.config(), short_list), std::invalid_argument);
+  params[2] = gnn::Matrix(params[2].cols, params[2].rows + 1);
+  EXPECT_THROW(gnn::Dgcnn(6, model.config(), params), std::invalid_argument);
+
+  // A blob whose meta declares a different topology than its tensors: the
+  // mismatch surfaces as a ZooError on both readers. dense_units 16 -> 26 is
+  // the same length, so only the payload CRC (u32 at offset 72) is re-stamped.
+  std::string bytes = zoo::encode_model_blob(model, common::Json::object(), false);
+  const auto key = bytes.find("\"dense_units\"");
+  ASSERT_NE(key, std::string::npos);
+  const auto digit = bytes.find('1', key);
+  ASSERT_EQ(bytes.substr(digit, 2), "16");
+  bytes[digit] = '2';
+  const std::uint32_t crc = common::crc32(std::string_view(bytes).substr(96));
+  std::memcpy(bytes.data() + 72, &crc, sizeof crc);
+  const fs::path p = dir_.path / "topology.mzb";
+  spew(p, bytes);
+  EXPECT_THROW(zoo::load_model_blob(p), zoo::ZooError);
+  zoo::LoadOptions copy_opts;
+  copy_opts.force_copy = true;
+  EXPECT_THROW(zoo::load_model_blob(p, copy_opts), zoo::ZooError);
 }
 
 // ---------------------------------------------------------------------------
