@@ -11,10 +11,12 @@
 #   ./ci.sh simd     # GNN suites under MUXLINK_SIMD=scalar and =avx2, plus
 #                    # an ASan+UBSan pass over the vectorized kernels; the
 #                    # avx2 leg skips gracefully on hosts without AVX2+FMA
+#                    # (ISA probe: `muxlink-bench kernels --min-ms 0`)
 #   ./ci.sh serving  # model-zoo round trip: a cold attack populates the
 #                    # registry, the warm rerun must be served (mmap),
-#                    # bit-identical, and faster; plus an ASan+UBSan pass
-#                    # over the mmap/score-cache path
+#                    # bit-identical, and faster; the `muxlink-bench
+#                    # serving` gate; plus an ASan+UBSan pass over the
+#                    # mmap/score-cache path
 #   ./ci.sh campaign # tiny defense x attack sweep on c432: per-cell +
 #                    # aggregate manifests validate with report_md --check,
 #                    # the aggregate is byte-identical across worker counts,
@@ -25,13 +27,13 @@
 #                    # be byte-identical to one-shot `muxlink attack
 #                    # --deterministic`; plus a fault-injected daemon kill +
 #                    # restart drill, a SIGTERM drain check, the concurrent
-#                    # bench_daemon byte-identity gate, and the MXRPC1 suite
-#                    # under ASan+UBSan
+#                    # `muxlink-bench daemon` byte-identity gate, and the
+#                    # MXRPC1 suite under ASan+UBSan
 #   ./ci.sh fleet    # fleet-coordinator gate: a 2-backend chaos drill (one
 #                    # muxlinkd SIGKILLed and restarted mid-campaign) whose
 #                    # aggregate must be byte-identical to the no-fleet run,
-#                    # the bench_fleet fan-out byte-identity gate, and the
-#                    # fleet + daemon suites under ASan+UBSan
+#                    # the `muxlink-bench fleet` fan-out byte-identity gate,
+#                    # and the fleet + daemon suites under ASan+UBSan
 #   ./ci.sh tsan     # ThreadSanitizer build of the concurrent layers' suites:
 #                    # thread pool (nested loops share it), metrics,
 #                    # determinism, zoo, daemon and fleet
@@ -42,8 +44,8 @@
 # Build trees: build/ (Release, the same tree developers use), build-san/
 # (ASan+UBSan) and build-tsan/ (TSan, listed suites only). Benchmarks are
 # compiled in the first two configs but only the test suite runs here —
-# kernel perf is tracked separately by tools/bench_kernels and
-# tools/bench_pipeline (see EXPERIMENTS.md).
+# kernel and pipeline perf are tracked separately by `muxlink-bench kernels`
+# and `muxlink-bench pipeline` (tools/muxlink_bench.cpp, see EXPERIMENTS.md).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -94,14 +96,16 @@ run_docs() {
 
   # Validate the fresh manifest plus every committed one.
   build/tools/report_md --check "$d/run.json" manifests/*.json \
-    manifests/campaign/*.json \
-    BENCH_pipeline.json BENCH_kernels.json BENCH_serving.json BENCH_daemon.json \
-    BENCH_fleet.json
-  # And make sure the renderers accept them.
+    manifests/campaign/*.json BENCH_*.json
+  # And make sure the renderers accept them (report_md picks each bench
+  # manifest's table from its tool field).
   build/tools/report_md manifests/*.json >/dev/null
   build/tools/report_md --campaign manifests/campaign/campaign.json >/dev/null
-  build/tools/report_md --daemon BENCH_daemon.json >/dev/null
-  build/tools/report_md --fleet BENCH_fleet.json >/dev/null
+  local f
+  for f in BENCH_*.json; do
+    [ "$(build/tools/report_md "$f" | grep -c '^| `bench_')" -eq 1 ] \
+      || { echo "report_md did not render one bench table for $f" >&2; rm -rf "$d"; return 1; }
+  done
   rm -rf "$d"
 
   # The wire protocol must stay documented: DESIGN.md §13 is the normative
@@ -183,7 +187,7 @@ run_simd() {
   echo "== simd: kernel dispatch gates (scalar + avx2, sanitized) =="
   cmake -B build -S . >/dev/null
   cmake --build build -j "$jobs" \
-    --target test_simd test_gnn test_layout test_parallel_determinism bench_kernels
+    --target test_simd test_gnn test_layout test_parallel_determinism muxlink_bench
 
   # Keeps the stage readable: gtest output only surfaces on failure.
   quiet() {
@@ -207,7 +211,7 @@ run_simd() {
   # --min-ms 0 makes the probe run single-iteration timings (instant); only
   # the resolved ISA in its manifest matters here, not the floors.
   local probe
-  probe="$(MUXLINK_SIMD=avx2 build/tools/bench_kernels --min-ms 0 2>/dev/null || true)"
+  probe="$(MUXLINK_SIMD=avx2 build/tools/muxlink-bench kernels --min-ms 0 2>/dev/null || true)"
   local simd_env=scalar
   if printf '%s' "$probe" | grep -q '"simd_isa":"avx2"'; then
     simd_env=avx2
@@ -236,7 +240,7 @@ run_simd() {
 run_serving() {
   echo "== serving: model-zoo round trip (cold train, warm mmap-served) =="
   cmake -B build -S . >/dev/null
-  cmake --build build -j "$jobs" --target muxlink_cli bench_serving
+  cmake --build build -j "$jobs" --target muxlink_cli muxlink_bench
   local d cli
   d="$(mktemp -d)"
   cli=build/tools/muxlink
@@ -262,7 +266,7 @@ run_serving() {
 
   # The committed benchmark gate: warm must be bit-identical (scores
   # included, with and without the score cache) and >= 5x faster.
-  build/tools/bench_serving --circuit c432 --key-bits 16 --epochs 5 --links 500 \
+  build/tools/muxlink-bench serving --circuit c432 --key-bits 16 --epochs 5 --links 500 \
     >/dev/null
 
   # ASan+UBSan over the mmap + score-cache path (test_zoo covers blob
@@ -339,7 +343,7 @@ run_campaign() {
 run_daemon() {
   echo "== daemon: attack-as-a-service byte-identity + crash drill =="
   cmake -B build -S . >/dev/null
-  cmake --build build -j "$jobs" --target muxlink_cli muxlinkd bench_daemon
+  cmake --build build -j "$jobs" --target muxlink_cli muxlinkd muxlink_bench
   local d cli dpid rc
   d="$(mktemp -d)"
   cli=build/tools/muxlink
@@ -411,7 +415,7 @@ run_daemon() {
   wait "$dpid" 2>/dev/null || true
 
   # Concurrent-clients byte-identity gate (exit 3 on any divergence).
-  build/tools/bench_daemon --circuit c432 --key-bits 16 --epochs 3 --links 300 \
+  build/tools/muxlink-bench daemon --circuit c432 --key-bits 16 --epochs 3 --links 300 \
     --jobs 4 --distinct 2 --clients 2 --workers 2 >/dev/null
 
   # MXRPC1 framing + server contracts under ASan+UBSan.
@@ -429,7 +433,7 @@ run_daemon() {
 run_fleet() {
   echo "== fleet: multi-daemon fan-out + chaos drill =="
   cmake -B build -S . >/dev/null
-  cmake --build build -j "$jobs" --target muxlink_cli muxlinkd muxlink_coord bench_fleet
+  cmake --build build -j "$jobs" --target muxlink_cli muxlinkd muxlink_coord muxlink_bench
   local d cli dpid1 dpid2
   d="$(mktemp -d)"
   cli=build/tools/muxlink
@@ -482,7 +486,7 @@ run_fleet() {
 
   # Fan-out byte-identity gate (exit 3 when the fleet aggregate diverges
   # from the sequential single-daemon run).
-  build/tools/bench_fleet --circuit c432 --key-bits 16 --epochs 3 --links 300 \
+  build/tools/muxlink-bench fleet --circuit c432 --key-bits 16 --epochs 3 --links 300 \
     --jobs 4 --distinct 2 --backends 2 --workers 1 >/dev/null
 
   # Coordinator + daemon suites under ASan+UBSan: breaker races, hedge

@@ -1,6 +1,6 @@
 // Minimal self-contained JSON value with a parser and writer — the single
 // JSON layer shared by the run-manifest emitter, the training-telemetry
-// JSONL stream, the bench tools, and tools/report_md. No external library.
+// JSONL stream, tools/muxlink-bench, and tools/report_md. No external library.
 //
 // Design points:
 //   * Objects preserve insertion order, so emitted documents have a stable,

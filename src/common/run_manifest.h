@@ -1,8 +1,8 @@
 // RunManifest: the machine-readable record of one pipeline run — provenance
 // (git SHA, build flags), configuration (circuit, scheme, key size, seed,
 // thread count), per-stage wall times, final attack metrics, and the full
-// metrics/trace snapshot. Emitted by `muxlink attack --report`,
-// tools/bench_pipeline, and tools/bench_kernels; consumed by tools/report_md
+// metrics/trace snapshot. Emitted by `muxlink attack --report` and
+// `muxlink-bench <leg>` (tool "bench_<leg>"); consumed by tools/report_md
 // (Markdown rendering + --check validation) and by EXPERIMENTS.md's
 // reproduction tables.
 //

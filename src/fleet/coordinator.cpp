@@ -471,26 +471,19 @@ struct FleetCoordinator::Impl {
       prov["coordinator"] = "muxlink-coord";
       prov["origin_id"] = job->id;
       prov["attempt"] = attempt;
-      remote_id = client.has_cap(daemon::kCapForwarded) ? client.submit_forwarded(job->spec, prov)
-                                                        : client.submit(job->spec);
-      const bool long_poll = client.has_cap(daemon::kCapWaitResult);
+      remote_id = client.submit_forwarded(job->spec, prov);
       const bool capped = opts.dispatch_timeout_ms > 0;
       const Clock::time_point deadline =
           Clock::now() + std::chrono::milliseconds(capped ? opts.dispatch_timeout_ms : 0);
       for (;;) {
         if (stopping.load()) return;  // abandoned; stop() is tearing us down
-        common::Json reply;
-        if (long_poll) {
-          long slice = 0;  // 0 = server-side cap
-          if (capped) {
-            slice = std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now())
-                        .count();
-            if (slice <= 0) throw daemon::DaemonError("dispatch deadline exceeded");
-          }
-          reply = client.wait_result(remote_id, slice);
-        } else {
-          reply = client.status(remote_id);
+        long slice = 0;  // 0 = server-side cap
+        if (capped) {
+          slice =
+              std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now()).count();
+          if (slice <= 0) throw daemon::DaemonError("dispatch deadline exceeded");
         }
+        const common::Json reply = client.wait_result(remote_id, slice);
         const std::string state = reply.string_or("state", "");
         if (state == "QUEUED" || state == "RUNNING") {
           if (capped && Clock::now() >= deadline) {
@@ -500,12 +493,10 @@ struct FleetCoordinator::Impl {
             }
             throw daemon::DaemonError("dispatch deadline exceeded");
           }
-          if (!long_poll) std::this_thread::sleep_for(std::chrono::milliseconds(50));
           continue;
         }
-        if (!long_poll) reply = client.result(remote_id);
-        if (reply.string_or("state", "") != "DONE") {
-          throw daemon::DaemonError("backend reported " + reply.string_or("state", "?") + ": " +
+        if (state != "DONE") {
+          throw daemon::DaemonError("backend reported " + state + ": " +
                                     reply.string_or("error", "(no detail)"));
         }
         const common::Json* manifest = reply.find("manifest");

@@ -55,7 +55,7 @@ struct GraphSample {
 };
 
 // Graph-propagation kernels over the sample's CSR adjacency (exposed for
-// tools/bench_kernels and kernel tests; the model calls them internally).
+// `muxlink-bench kernels` and kernel tests; the model calls them internally).
 // propagate: out = D^-1 (A+I) h. propagate_transpose: out = (D^-1 (A+I))^T g.
 void propagate(const GraphSample& s, const Matrix& h, Matrix& out);
 void propagate_transpose(const GraphSample& s, const Matrix& g, Matrix& out);

@@ -172,7 +172,7 @@ struct Matrix {
 
 // --- naive reference kernels ------------------------------------------------
 // Retained as the correctness oracle for the blocked and AVX2 kernels (and
-// for tools/bench_kernels baselines). Do not optimize these.
+// for `muxlink-bench kernels` baselines). Do not optimize these.
 
 // out = a * b.
 inline void matmul_naive(const Matrix& a, const Matrix& b, Matrix& out) {

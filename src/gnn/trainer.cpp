@@ -227,7 +227,7 @@ TrainReport train_link_predictor(Dgcnn& model, const std::vector<GraphSample>& s
   // Gradient norms are needed per batch for telemetry AND for clipping;
   // computing them is a full pass over the gradient tensors, so it stays
   // off unless one of the two asked for it (guardrail-overhead budget:
-  // <= 2% on bench_pipeline with both off).
+  // <= 2% on `muxlink-bench pipeline` with both off).
   const bool want_norm = want_stats || opts.clip_grad > 0.0;
 
   for (int epoch = start_epoch; epoch <= opts.epochs; ++epoch) {

@@ -5,7 +5,7 @@
 // unordered_map distance/remap tables and BFS queues. It is deliberately
 // kept simple and obviously correct; randomized tests assert the fast path
 // produces node-for-node, edge-for-edge, label-for-label identical
-// subgraphs, and tools/bench_kernels reports the fast path's speedup over
+// subgraphs, and `muxlink-bench kernels` reports the fast path's speedup over
 // it. Do not optimize this file.
 #pragma once
 

@@ -466,7 +466,7 @@ TEST_F(DaemonE2E, ManifestsAreByteIdenticalAtAnyWorkerCount) {
           mine.emplace_back(i, client.submit(specs[i]));
         }
         for (const auto& [i, id] : mine) {
-          const common::Json reply = client.wait_for_result(id, 10);
+          const common::Json reply = client.wait_for_result(id);
           ASSERT_EQ(reply.string_or("state", ""), "DONE") << "workers=" << workers;
           manifests[i] = reply.at("manifest").dump_pretty();
         }
@@ -730,40 +730,39 @@ TEST_F(DaemonE2E, V1PeerWithoutCapsIsServedByPollingAndRefusedNewMessages) {
   DaemonServer server(dopts);
   server.start();
 
-  // A PR 9 peer offers no caps: plain SUBMIT + RESULT polling still work.
-  ClientOptions copts = client_options("unix:" + dopts.socket_path);
-  copts.offer_caps = false;
-  DaemonClient v1(std::move(copts));
-  EXPECT_FALSE(v1.has_cap("wait_result"));
-  EXPECT_FALSE(v1.has_cap("forwarded"));
-  const std::string id = v1.submit(small_job(1));
-  const common::Json reply = v1.wait_for_result(id);
-  ASSERT_EQ(reply.string_or("state", ""), "DONE");
-  const auto direct = core::run_attack_job(small_job(1));
-  EXPECT_EQ(reply.at("manifest").dump_pretty(), direct.manifest.dump_pretty());
+  // A hand-rolled peer that offers no caps is still served plain SUBMIT
+  // and STATUS, but the server refuses the cap-gated WAIT_RESULT and
+  // forwarded SUBMIT with BAD_REQUEST, not silence.
+  const int fd = connect_to(parse_address("unix:" + dopts.socket_path));
+  const auto request = [&](MsgType type, const std::string& payload) {
+    write_frame(fd, type, payload);
+    return read_frame(fd, kDefaultMaxFrameBytes, 5000);
+  };
+  const auto hello = request(MsgType::kHello, "{\"versions\":[1]}");
+  ASSERT_TRUE(hello.has_value());
+  ASSERT_EQ(hello->type, MsgType::kHelloOk);
+  // HELLO_OK without offered caps must not echo a caps list.
+  EXPECT_FALSE(parse_payload(*hello).contains("caps"));
 
-  // The client-side guard refuses cap-gated calls without negotiation...
-  EXPECT_THROW(v1.wait_result(id, 10), DaemonError);
-  EXPECT_THROW(v1.submit_forwarded(small_job(1), common::Json::object()), DaemonError);
+  const std::string spec = small_job(1).to_json().dump();
+  const auto submitted = request(MsgType::kSubmit, spec);
+  ASSERT_TRUE(submitted.has_value());
+  ASSERT_EQ(submitted->type, MsgType::kSubmitOk);
+  const std::string id = parse_payload(*submitted).string_or("job_id", "");
+  ASSERT_FALSE(id.empty());
+  const auto status = request(MsgType::kStatus, "{\"job_id\":\"" + id + "\"}");
+  ASSERT_TRUE(status.has_value());
+  EXPECT_EQ(status->type, MsgType::kStatusOk);
 
-  // ...and the server refuses them on the wire too (a hand-rolled peer that
-  // skipped negotiation gets BAD_REQUEST, not silence).
-  {
-    const int fd = connect_to(parse_address("unix:" + dopts.socket_path));
-    write_frame(fd, MsgType::kHello, "{\"versions\":[1]}");
-    const auto hello = read_frame(fd, kDefaultMaxFrameBytes, 5000);
-    ASSERT_TRUE(hello.has_value());
-    ASSERT_EQ(hello->type, MsgType::kHelloOk);
-    // HELLO_OK without offered caps must not echo a caps list.
-    EXPECT_FALSE(parse_payload(*hello).contains("caps"));
-    write_frame(fd, MsgType::kWaitResult, "{\"job_id\":\"" + id + "\",\"timeout_ms\":1}");
-    const auto err = read_frame(fd, kDefaultMaxFrameBytes, 5000);
+  const auto expect_bad_request = [&](MsgType type, const std::string& payload) {
+    const auto err = request(type, payload);
     ASSERT_TRUE(err.has_value());
     EXPECT_EQ(err->type, MsgType::kError);
-    EXPECT_EQ(parse_payload(*err).int_or("code", 0),
-              static_cast<int>(ErrorCode::kBadRequest));
-    ::close(fd);
-  }
+    EXPECT_EQ(parse_payload(*err).int_or("code", 0), static_cast<int>(ErrorCode::kBadRequest));
+  };
+  expect_bad_request(MsgType::kWaitResult, "{\"job_id\":\"" + id + "\",\"timeout_ms\":1}");
+  expect_bad_request(MsgType::kSubmit, "{\"spec\":" + spec + ",\"forwarded\":{}}");
+  ::close(fd);
   server.stop();
 }
 

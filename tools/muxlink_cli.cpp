@@ -825,7 +825,7 @@ int render_result_reply(const CliArgs& args, const common::Json& reply) {
 int cmd_submit(const CliArgs& args) {
   args.allow_only({"attack", "hops", "th", "epochs", "lr", "links", "seed", "scheme",
                    "truth-key", "orig", "patterns", "zoo", "zoo-dir", "no-score-cache",
-                   "timeout", "daemon", "wait", "report", "key-out", "poll-ms"});
+                   "timeout", "daemon", "wait", "report", "key-out"});
   if (args.positional().size() != 1) return usage();
   const std::string attack_name = args.get_or("attack", "muxlink");
   core::AttackJobSpec spec = spec_from_args(args, attack_name);
@@ -835,9 +835,7 @@ int cmd_submit(const CliArgs& args) {
   std::cout << "submitted " << job_id << " (" << spec.attack << " on " << spec.circuit << ") to "
             << client.address() << "\n";
   if (!args.has("wait")) return 0;
-  const auto reply =
-      client.wait_for_result(job_id, static_cast<int>(args.get_long("poll-ms", 100)));
-  return render_result_reply(args, reply);
+  return render_result_reply(args, client.wait_for_result(job_id));
 }
 
 int cmd_status(const CliArgs& args) {
@@ -860,14 +858,11 @@ int cmd_status(const CliArgs& args) {
 }
 
 int cmd_result(const CliArgs& args) {
-  args.allow_only({"daemon", "wait", "report", "key-out", "poll-ms"});
+  args.allow_only({"daemon", "wait", "report", "key-out"});
   if (args.positional().size() != 1) return usage();
   auto client = make_client(args);
   const std::string& job_id = args.positional()[0];
-  const auto reply =
-      args.has("wait")
-          ? client.wait_for_result(job_id, static_cast<int>(args.get_long("poll-ms", 100)))
-          : client.result(job_id);
+  const auto reply = args.has("wait") ? client.wait_for_result(job_id) : client.result(job_id);
   return render_result_reply(args, reply);
 }
 

@@ -1,29 +1,21 @@
 // report_md — renders muxlink.run/v1 manifests as Markdown tables.
 //
 //   report_md <run1.json> [run2.json ...] [--out table.md]
-//   report_md --serving <run1.json> [run2.json ...] [--out table.md]
-//   report_md --daemon <run1.json> [run2.json ...] [--out table.md]
-//   report_md --fleet <run1.json> [run2.json ...] [--out table.md]
 //   report_md --campaign <campaign.json> [--out table.md]
 //   report_md --check <run1.json> [run2.json ...]
 //
-// Default mode reads one or more RunManifest JSON files (as written by
-// `muxlink attack --report`, tools/bench_pipeline, or tools/bench_kernels)
-// and emits the paper-style reproduction table used by EXPERIMENTS.md:
-// one row per run with AC/PC/KPA/HD where the run measured them, plus the
-// training stats every attack run records. --serving renders bench_serving
-// manifests as the cold-vs-warm serving table instead (EXPERIMENTS.md,
-// DESIGN.md §11). --daemon renders bench_daemon manifests as the
-// serving-at-scale table (sequential baseline vs concurrent daemon clients,
-// DESIGN.md §13). --fleet renders bench_fleet manifests as the fleet
-// fan-out table (sequential baseline vs coordinator dispatch to N
-// backends, DESIGN.md §14). --campaign renders a `muxlink campaign` aggregate
+// Default mode picks each manifest's table from its `tool` field. Attack
+// runs (`muxlink attack --report`) share the paper-style reproduction
+// table used by EXPERIMENTS.md: one row per run with AC/PC/KPA/HD where the
+// run measured them, plus the training stats every attack run records.
+// Perf-tracker runs (tool `bench_<leg>`, written by `muxlink-bench <leg>`)
+// get one table per tool: a row per stage (seconds) and per result, a
+// column per run. --campaign renders a `muxlink campaign` aggregate
 // manifest as the defense x attack resilience matrix: one row per cell,
 // with a verdict derived from KPA against the 50% +/- 12 chance band (the
 // band the ANT/RNT protocol uses). --check validates the manifests (schema
-// tag, provenance
-// fields, stage/result sanity) and prints one OK/FAIL line per file; exit 1
-// if any file fails.
+// tag, provenance fields, stage/result sanity) and prints one OK/FAIL line
+// per file; exit 1 if any file fails.
 //
 // Exit code 0 on success, 1 on validation failure or CLI misuse, 2 on
 // processing errors (unreadable file, malformed JSON).
@@ -134,84 +126,52 @@ std::string render_table(const std::vector<RunManifest>& runs) {
   return md.str();
 }
 
-// Cold-vs-warm serving table for tools/bench_serving manifests.
-std::string render_serving_table(const std::vector<RunManifest>& runs) {
-  std::ostringstream md;
-  md << "| Circuit | K | Cold s | Warm s | Speedup | Bit-identical | MBytes mapped "
-        "| Cache hits |\n";
-  md << "|---|---:|---:|---:|---:|---:|---:|---:|\n";
+// Perf-tracker tables: one per `bench_<leg>` tool, in first-seen order. Rows
+// are the union of the runs' stage and result keys (stages in seconds),
+// columns are the runs; "—" marks a key a run did not record.
+std::string render_bench_tables(const std::vector<RunManifest>& runs) {
+  std::vector<std::string> tools;
   for (const RunManifest& m : runs) {
-    const double hits = result_or_nan(m, "cache_hits");
-    const double misses = result_or_nan(m, "cache_misses");
-    std::string hit_cell = "—";
-    if (!std::isnan(hits) && !std::isnan(misses)) {
-      hit_cell = cell(hits, 0) + "/" + cell(hits + misses, 0);
-    }
-    md << "| " << m.circuit << " | ";
-    if (m.key_bits >= 0) {
-      md << m.key_bits;
-    } else {
-      md << "—";
-    }
-    md << " | " << cell(stage_or_nan(m, "cold_total"), 3)
-       << " | " << cell(stage_or_nan(m, "warm_total"), 3)
-       << " | " << cell(result_or_nan(m, "warm_speedup"), 1) << "x"
-       << " | " << (result_or_nan(m, "bit_identical") == 1.0 ? "yes" : "**NO**")
-       << " | " << cell(result_or_nan(m, "bytes_mapped") / (1024.0 * 1024.0), 2)
-       << " | " << hit_cell << " |\n";
+    if (std::find(tools.begin(), tools.end(), m.tool) == tools.end()) tools.push_back(m.tool);
   }
-  return md.str();
-}
-
-// Serving-at-scale table for tools/bench_daemon manifests: the sequential
-// one-shot baseline against N concurrent clients on a muxlinkd worker pool,
-// plus the byte-identity verdict that gates the run.
-std::string render_daemon_table(const std::vector<RunManifest>& runs) {
-  std::ostringstream md;
-  md << "| Circuit | K | Jobs | Clients | Workers | Sequential s | Daemon s | Speedup "
-        "| Byte-identical |\n";
-  md << "|---|---:|---:|---:|---:|---:|---:|---:|---:|\n";
-  for (const RunManifest& m : runs) {
-    md << "| " << m.circuit << " | ";
-    if (m.key_bits >= 0) {
-      md << m.key_bits;
-    } else {
-      md << "—";
+  const auto add_keys = [](std::vector<std::string>& keys,
+                           const std::vector<std::pair<std::string, double>>& kv) {
+    for (const auto& [k, v] : kv) {
+      if (std::find(keys.begin(), keys.end(), k) == keys.end()) keys.push_back(k);
     }
-    md << " | " << cell(result_or_nan(m, "jobs"), 0)
-       << " | " << cell(result_or_nan(m, "clients"), 0)
-       << " | " << cell(result_or_nan(m, "daemon_workers"), 0)
-       << " | " << cell(stage_or_nan(m, "sequential_warm"), 3)
-       << " | " << cell(stage_or_nan(m, "daemon_warm"), 3)
-       << " | " << cell(result_or_nan(m, "daemon_speedup"), 1) << "x"
-       << " | " << (result_or_nan(m, "bit_identical") == 1.0 ? "yes" : "**NO**") << " |\n";
-  }
-  return md.str();
-}
-
-// Fleet serving table for tools/bench_fleet manifests: the sequential
-// one-process baseline against the coordinator fanning the same jobs out to
-// N muxlinkd backends, plus the byte-identity verdict that gates the run.
-std::string render_fleet_table(const std::vector<RunManifest>& runs) {
+  };
   std::ostringstream md;
-  md << "| Circuit | K | Jobs | Backends | Workers | Sequential s | Fleet s | Speedup "
-        "| Retries | Byte-identical |\n";
-  md << "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n";
-  for (const RunManifest& m : runs) {
-    md << "| " << m.circuit << " | ";
-    if (m.key_bits >= 0) {
-      md << m.key_bits;
-    } else {
-      md << "—";
+  for (const std::string& tool : tools) {
+    std::vector<const RunManifest*> cols;
+    std::vector<std::string> stages, results;
+    for (const RunManifest& m : runs) {
+      if (m.tool != tool) continue;
+      cols.push_back(&m);
+      add_keys(stages, m.stages);
+      add_keys(results, m.results);
     }
-    md << " | " << cell(result_or_nan(m, "jobs"), 0)
-       << " | " << cell(result_or_nan(m, "fleet_backends"), 0)
-       << " | " << cell(result_or_nan(m, "backend_workers"), 0)
-       << " | " << cell(stage_or_nan(m, "sequential_warm"), 3)
-       << " | " << cell(stage_or_nan(m, "fleet_warm"), 3)
-       << " | " << cell(result_or_nan(m, "fleet_speedup"), 1) << "x"
-       << " | " << cell(result_or_nan(m, "retries"), 0)
-       << " | " << (result_or_nan(m, "bit_identical") == 1.0 ? "yes" : "**NO**") << " |\n";
+    if (md.tellp() > 0) md << "\n";
+    md << "| `" << tool << "` |";
+    for (const RunManifest* m : cols) {
+      md << " " << m->circuit;
+      if (m->key_bits >= 0) md << " K=" << m->key_bits;
+      md << " |";
+    }
+    md << "\n|---|";
+    for (std::size_t i = 0; i < cols.size(); ++i) md << "---:|";
+    md << "\n";
+    auto row = [&](const std::string& label, const std::string& key, auto lookup) {
+      md << "| " << label << " |";
+      for (const RunManifest* m : cols) {
+        const double v = lookup(*m, key);
+        const double mag = std::abs(v);
+        const int decimals = v == std::floor(v) ? 0 : mag >= 100.0 ? 1 : mag >= 1.0 ? 3 : 4;
+        md << " " << cell(v, decimals) << " |";
+      }
+      md << "\n";
+    };
+    for (const std::string& k : stages) row("`" + k + "` s", k, stage_or_nan);
+    for (const std::string& k : results) row("`" + k + "`", k, result_or_nan);
   }
   return md.str();
 }
@@ -259,20 +219,15 @@ std::string render_campaign_table(const std::vector<RunManifest>& runs) {
 int main(int argc, char** argv) {
   const muxlink::tools::CliArgs args(argc - 1, argv + 1);
   try {
-    args.allow_only({"out", "check", "serving", "daemon", "fleet", "campaign"});
+    args.allow_only({"out", "check", "campaign"});
     std::vector<std::string> paths = args.positional();
-    // The parser binds "--check run.json" / "--serving run.json" as the
-    // flag's value; that token is really the first manifest path.
+    // The parser binds "--check run.json" as the flag's value; that token
+    // is really the first manifest path.
     if (const auto v = args.get("check"); v && !v->empty()) paths.insert(paths.begin(), *v);
-    if (const auto v = args.get("serving"); v && !v->empty()) paths.insert(paths.begin(), *v);
-    if (const auto v = args.get("daemon"); v && !v->empty()) paths.insert(paths.begin(), *v);
-    if (const auto v = args.get("fleet"); v && !v->empty()) paths.insert(paths.begin(), *v);
     if (const auto v = args.get("campaign"); v && !v->empty()) paths.insert(paths.begin(), *v);
     if (paths.empty()) {
       std::cerr << "usage: report_md <run.json>... [--out F]  |  report_md --check <run.json>...\n"
-                   "       report_md --serving <run.json>...  |  report_md --daemon "
-                   "<run.json>...  |  report_md --fleet <run.json>...  |  report_md "
-                   "--campaign <campaign.json>...\n";
+                   "       report_md --campaign <campaign.json>... [--out F]\n";
       return 1;
     }
     if (args.has("check")) {
@@ -291,11 +246,18 @@ int main(int argc, char** argv) {
       if (a.scheme != b.scheme) return a.scheme < b.scheme;
       return a.key_bits < b.key_bits;
     });
-    const std::string md = args.has("campaign") ? render_campaign_table(runs)
-                           : args.has("serving") ? render_serving_table(runs)
-                           : args.has("daemon")  ? render_daemon_table(runs)
-                           : args.has("fleet")   ? render_fleet_table(runs)
-                                                 : render_table(runs);
+    std::string md;
+    if (args.has("campaign")) {
+      md = render_campaign_table(runs);
+    } else {
+      std::vector<RunManifest> attacks, benches;
+      for (RunManifest& m : runs) {
+        (m.tool.starts_with("bench_") ? benches : attacks).push_back(std::move(m));
+      }
+      if (!attacks.empty()) md = render_table(attacks);
+      if (!attacks.empty() && !benches.empty()) md += "\n";
+      if (!benches.empty()) md += render_bench_tables(benches);
+    }
     if (const auto out = args.get("out")) {
       std::ofstream os(*out);
       if (!os) throw std::runtime_error("cannot write '" + *out + "'");
