@@ -40,6 +40,9 @@
 #   ./ci.sh perfbench # the repo benchmark's helper self-tests, then a short
 #                    # warm_serve run (perfbench/run.py) whose output gates
 #                    # must all pass (exit 0)
+#   ./ci.sh pipeline # `muxlink-bench pipeline` on c880: the N-thread attack
+#                    # must be bit-identical to 1 thread and, on hosts with
+#                    # >= 4 cores, at least 1.8x faster (exit 3 otherwise)
 #
 # Build trees: build/ (Release, the same tree developers use), build-san/
 # (ASan+UBSan) and build-tsan/ (TSan, listed suites only). Benchmarks are
@@ -528,6 +531,13 @@ run_perfbench() {
   python3 perfbench/run.py --workload warm_serve --seconds 2 --seed 1 >/dev/null
 }
 
+run_pipeline() {
+  echo "== pipeline: 1-vs-N thread bit identity + thread_speedup floor (c880) =="
+  cmake -B build -S . >/dev/null
+  cmake --build build -j "$jobs" --target muxlink_bench
+  build/tools/muxlink-bench pipeline --circuit c880 --epochs 10 --links 1500 >/dev/null
+}
+
 case "$stage" in
   tier1)  run_tier1 ;;
   san)    run_san ;;
@@ -540,9 +550,10 @@ case "$stage" in
   fleet)  run_fleet ;;
   tsan)   run_tsan ;;
   perfbench) run_perfbench ;;
+  pipeline) run_pipeline ;;
   all)    run_tier1; run_san; run_docs; run_faults; run_simd; run_serving; run_campaign; run_daemon; run_fleet; run_tsan
-          run_perfbench ;;
-  *) echo "usage: $0 [tier1|san|docs|faults|simd|serving|campaign|daemon|fleet|tsan|perfbench|all]" >&2
+          run_perfbench; run_pipeline ;;
+  *) echo "usage: $0 [tier1|san|docs|faults|simd|serving|campaign|daemon|fleet|tsan|perfbench|pipeline|all]" >&2
      exit 64 ;;
 esac
 echo "== ci.sh: $stage passed =="

@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "common/thread_pool.h"
 #include "gnn/simd.h"
 
 namespace muxlink::gnn {
@@ -29,18 +30,20 @@ struct Dgcnn::Workspace {
   std::vector<int> order;  // selected global rows after SortPooling
   Matrix s;                // k × cat_dim
   Matrix c1;               // k × ch1 (post-ReLU)
-  Matrix m;                // pooled_len × ch1
+  // The pooled frames and conv2 output are packed row-major (stride ch1 /
+  // ch2, no pad lanes): conv2's kernel windows are then overlapping rows
+  // of m, and c2 is already the flattened input of dense 1.
+  std::vector<double> m;    // pooled_len × ch1
   std::vector<int> argmax;  // pooled_len * ch1 source frame indices
-  Matrix c2;               // conv2_len × ch2 (post-ReLU)
-  std::vector<double> f;   // flattened c2
+  std::vector<double> c2;   // conv2_len × ch2 (post-ReLU)
   std::vector<double> hid;  // dense_units (post-ReLU, post-dropout)
   std::vector<double> mask;  // dropout mask (scaled)
   double prob1 = 0.0;        // softmax P(label=1)
 
   // Backward scratch.
   std::vector<double> dhid;
-  std::vector<double> df;
-  Matrix dm;                 // pooled_len × ch1
+  std::vector<double> df;   // conv2_len × ch2, packed like c2
+  std::vector<double> dm;   // pooled_len × ch1, packed like m
   Matrix dc1;                // k × ch1
   Matrix ds;                 // k × cat_dim
   std::vector<Matrix> dh;    // per conv layer: n × channels
@@ -60,8 +63,9 @@ int choose_sortpool_k(std::vector<int> sizes, double fraction) {
 namespace {
 // Throws std::invalid_argument unless `got` has `want`'s tensor count and
 // every tensor's logical shape.
+template <typename Shaped>
 void require_shapes(const char* who, const std::vector<Matrix>& got,
-                    const std::vector<Matrix>& want) {
+                    const std::vector<Shaped>& want) {
   if (got.size() != want.size()) {
     throw std::invalid_argument(std::string(who) + ": tensor count mismatch");
   }
@@ -76,32 +80,40 @@ void require_shapes(const char* who, const std::vector<Matrix>& got,
 
 Dgcnn::Dgcnn(int feature_dim, const DgcnnConfig& config)
     : cfg_(config), feature_dim_(feature_dim), rng_(config.seed) {
-  const std::vector<bool> glorot = build_topology();
-  params_.reserve(grads_.size());
-  for (std::size_t i = 0; i < grads_.size(); ++i) {
-    Matrix m(grads_[i].rows, grads_[i].cols);
-    if (glorot[i]) m.glorot(rng_);
+  const std::vector<ParamShape> shapes = build_topology();
+  params_.reserve(shapes.size());
+  for (const ParamShape& sh : shapes) {
+    Matrix m(sh.rows, sh.cols);
+    if (sh.glorot) m.glorot(rng_);
     params_.push_back(std::move(m));
   }
 }
 
 Dgcnn::Dgcnn(int feature_dim, const DgcnnConfig& config, std::vector<Matrix> params)
     : cfg_(config), feature_dim_(feature_dim), rng_(config.seed) {
-  const std::vector<bool> glorot = build_topology();
-  require_shapes("Dgcnn", params, grads_);
+  const std::vector<ParamShape> shapes = build_topology();
+  require_shapes("Dgcnn", params, shapes);
   // Leave the RNG exactly where the Glorot init would have: glorot() draws
   // one variate per logical element, and a uniform double takes one step
   // of a 64-bit engine.
   static_assert(std::mt19937_64::word_size >= std::numeric_limits<double>::digits);
   unsigned long long draws = 0;
-  for (std::size_t i = 0; i < params.size(); ++i) {
-    if (glorot[i]) draws += static_cast<unsigned long long>(params[i].rows) * params[i].cols;
+  for (const ParamShape& sh : shapes) {
+    if (sh.glorot) draws += static_cast<unsigned long long>(sh.rows) * sh.cols;
   }
   rng_.discard(draws);
   params_ = std::move(params);
 }
 
-std::vector<bool> Dgcnn::build_topology() {
+void Dgcnn::ensure_training_buffers() {
+  if (grads_.empty()) grads_ = make_gradient_buffers();
+  if (adam_m_.empty()) {
+    adam_m_ = make_gradient_buffers();
+    adam_v_ = make_gradient_buffers();
+  }
+}
+
+std::vector<Dgcnn::ParamShape> Dgcnn::build_topology() {
   if (cfg_.conv_channels.empty()) throw std::invalid_argument("Dgcnn: need conv layers");
   if (cfg_.sortpool_k < 2) throw std::invalid_argument("Dgcnn: sortpool_k too small");
   cat_dim_ = std::accumulate(cfg_.conv_channels.begin(), cfg_.conv_channels.end(), 0);
@@ -111,13 +123,10 @@ std::vector<bool> Dgcnn::build_topology() {
     throw std::invalid_argument("Dgcnn: sortpool_k too small for the 1-D conv stack");
   }
 
-  std::vector<bool> glorot;
+  std::vector<ParamShape> shapes;
   auto add_param = [&](int rows, int cols, bool init) {
-    glorot.push_back(init);
-    grads_.emplace_back(rows, cols);
-    adam_m_.emplace_back(rows, cols);
-    adam_v_.emplace_back(rows, cols);
-    return static_cast<int>(grads_.size()) - 1;
+    shapes.push_back({rows, cols, init});
+    return static_cast<int>(shapes.size()) - 1;
   };
 
   int in_dim = feature_dim_;
@@ -133,7 +142,7 @@ std::vector<bool> Dgcnn::build_topology() {
   b5_ = add_param(1, cfg_.dense_units, false);
   w6_ = add_param(2, cfg_.dense_units, true);
   b6_ = add_param(1, 2, false);
-  return glorot;
+  return shapes;
 }
 
 double Dgcnn::forward(const GraphSample& g, bool training, Workspace& ws,
@@ -160,7 +169,8 @@ double Dgcnn::forward(const GraphSample& g, bool training, Workspace& ws,
 
   // SortPooling: order by the last (1-channel) layer, descending.
   const Matrix& last = ws.h[L - 1];
-  std::vector<int> order(n);
+  std::vector<int>& order = ws.order;
+  order.resize(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](int a, int b) {
     const double va = last.at(a, last.cols - 1);
@@ -170,7 +180,6 @@ double Dgcnn::forward(const GraphSample& g, bool training, Workspace& ws,
   const int k = cfg_.sortpool_k;
   const int kept = std::min(k, n);
   order.resize(kept);
-  ws.order = order;
 
   ws.s.resize(k, cat_dim_);
   for (int t = 0; t < kept; ++t) {
@@ -182,77 +191,51 @@ double Dgcnn::forward(const GraphSample& g, bool training, Workspace& ws,
     }
   }
 
-  // 1-D conv #1: per-frame dense over the cat_dim-wide rows. dot_acc chains
-  // from the bias in ascending j — the scalar table reproduces the pre-SIMD
-  // accumulation exactly.
+  // 1-D conv #1: per-frame dense over the cat_dim-wide rows, each output
+  // chained from its bias as one dot_acc.
+  const int ch1 = cfg_.conv1d_channels1;
+  const int ch2 = cfg_.conv1d_channels2;
   const Matrix& kk1 = params_[k1_];
-  const Matrix& bb1 = params_[b1_];
-  ws.c1.resize_uninit(k, cfg_.conv1d_channels1);  // every frame is written below
+  ws.c1.resize_uninit(k, ch1);  // every frame is written below
+  kn.dot_rows(k, ch1, cat_dim_, ws.s.row(0), ws.s.ld, kk1.row(0), kk1.ld, params_[b1_].row(0),
+              ws.c1.row(0), ws.c1.ld);
   for (int t = 0; t < k; ++t) {
-    const double* sr = ws.s.row(t);
-    for (int c = 0; c < cfg_.conv1d_channels1; ++c) {
-      const double acc = kn.dot_acc(bb1.at(0, c), kk1.row(c), sr, cat_dim_);
-      ws.c1.at(t, c) = acc > 0.0 ? acc : 0.0;
-    }
+    double* cr = ws.c1.row(t);
+    for (int c = 0; c < ch1; ++c) cr[c] = cr[c] > 0.0 ? cr[c] : 0.0;
   }
 
   // Max-pool (size 2, stride 2).
-  ws.m.resize_uninit(pooled_len_, cfg_.conv1d_channels1);
-  ws.argmax.assign(static_cast<std::size_t>(pooled_len_) * cfg_.conv1d_channels1, 0);
+  ws.m.resize(static_cast<std::size_t>(pooled_len_) * ch1);
+  ws.argmax.resize(ws.m.size());
   for (int t = 0; t < pooled_len_; ++t) {
-    for (int c = 0; c < cfg_.conv1d_channels1; ++c) {
+    for (int c = 0; c < ch1; ++c) {
       const double a = ws.c1.at(2 * t, c);
       const double b = ws.c1.at(2 * t + 1, c);
-      const int src = a >= b ? 2 * t : 2 * t + 1;
-      ws.m.at(t, c) = a >= b ? a : b;
-      ws.argmax[static_cast<std::size_t>(t) * cfg_.conv1d_channels1 + c] = src;
+      const std::size_t e = static_cast<std::size_t>(t) * ch1 + c;
+      ws.m[e] = a >= b ? a : b;
+      ws.argmax[e] = a >= b ? 2 * t : 2 * t + 1;
     }
   }
 
-  // 1-D conv #2 (kernel over frames). When channels1 is a multiple of the
-  // SIMD lane count the pooled rows are contiguous (ld == cols), so the
-  // whole kernel2 × channels1 window is ONE packed dot against the
-  // row-major weight row; otherwise fall back to chaining one dot per frame.
-  // Both paths accumulate in the identical wi/element order as the original
-  // nested loop.
+  // 1-D conv #2 (kernel over frames): output frame t is one dot over the
+  // kernel2 × ch1 window starting at pooled row t, i.e. overlapping rows of
+  // the packed m at stride ch1.
   const Matrix& kk2 = params_[k2_];
-  const Matrix& bb2 = params_[b2_];
-  const bool m_packed = ws.m.ld == ws.m.cols;
-  const int window = cfg_.conv1d_kernel2 * cfg_.conv1d_channels1;
-  ws.c2.resize_uninit(conv2_len_, cfg_.conv1d_channels2);
-  for (int t = 0; t < conv2_len_; ++t) {
-    for (int c = 0; c < cfg_.conv1d_channels2; ++c) {
-      const double* w = kk2.row(c);
-      double acc;
-      if (m_packed) {
-        acc = kn.dot_acc(bb2.at(0, c), w, ws.m.row(t), window);
-      } else {
-        acc = bb2.at(0, c);
-        for (int dt = 0; dt < cfg_.conv1d_kernel2; ++dt) {
-          acc = kn.dot_acc(acc, w + dt * cfg_.conv1d_channels1, ws.m.row(t + dt),
-                           cfg_.conv1d_channels1);
-        }
-      }
-      ws.c2.at(t, c) = acc > 0.0 ? acc : 0.0;
-    }
-  }
+  const int window = cfg_.conv1d_kernel2 * ch1;
+  ws.c2.resize(static_cast<std::size_t>(conv2_len_) * ch2);
+  kn.dot_rows(conv2_len_, ch2, window, ws.m.data(), ch1, kk2.row(0), kk2.ld, params_[b2_].row(0),
+              ws.c2.data(), ch2);
+  for (double& v : ws.c2) v = v > 0.0 ? v : 0.0;
 
-  // Flatten (logical elements only — c2 may carry pad lanes) + dense 128 +
-  // ReLU + dropout.
-  ws.f.resize(static_cast<std::size_t>(conv2_len_) * cfg_.conv1d_channels2);
-  for (int t = 0; t < conv2_len_; ++t) {
-    const double* cr = ws.c2.row(t);
-    double* fr = ws.f.data() + static_cast<std::size_t>(t) * cfg_.conv1d_channels2;
-    for (int c = 0; c < cfg_.conv1d_channels2; ++c) fr[c] = cr[c];
-  }
+  // Dense 128 over the flattened c2 + ReLU + dropout.
   const Matrix& ww5 = params_[w5_];
-  const Matrix& bb5 = params_[b5_];
-  ws.hid.assign(cfg_.dense_units, 0.0);
+  ws.hid.resize(cfg_.dense_units);
+  kn.dot_rows(1, cfg_.dense_units, ws.c2.size(), ws.c2.data(), 0, ww5.row(0), ww5.ld,
+              params_[b5_].row(0), ws.hid.data(), 0);
   ws.mask.assign(cfg_.dense_units, 1.0);
   std::uniform_real_distribution<double> unit(0.0, 1.0);
   for (int u = 0; u < cfg_.dense_units; ++u) {
-    double acc = kn.dot_acc(bb5.at(0, u), ww5.row(u), ws.f.data(), ws.f.size());
-    acc = acc > 0.0 ? acc : 0.0;
+    double acc = ws.hid[u] > 0.0 ? ws.hid[u] : 0.0;
     if (training && cfg_.dropout > 0.0 && rng != nullptr) {
       if (unit(*rng) < cfg_.dropout) {
         ws.mask[u] = 0.0;
@@ -267,11 +250,9 @@ double Dgcnn::forward(const GraphSample& g, bool training, Workspace& ws,
 
   // Dense 2 + softmax.
   const Matrix& ww6 = params_[w6_];
-  const Matrix& bb6 = params_[b6_];
   double logits[2];
-  for (int c = 0; c < 2; ++c) {
-    logits[c] = kn.dot_acc(bb6.at(0, c), ww6.row(c), ws.hid.data(), ws.hid.size());
-  }
+  kn.dot_rows(1, 2, ws.hid.size(), ws.hid.data(), 0, ww6.row(0), ww6.ld, params_[b6_].row(0),
+              logits, 0);
   const double mx = std::max(logits[0], logits[1]);
   const double e0 = std::exp(logits[0] - mx);
   const double e1 = std::exp(logits[1] - mx);
@@ -293,6 +274,7 @@ double Dgcnn::predict(const GraphSample& g, bool training) {
 }
 
 double Dgcnn::accumulate_gradients(const GraphSample& g) {
+  ensure_training_buffers();
   Workspace& ws = thread_workspace();
   const double p1 = forward(g, /*training=*/true, ws, &rng_);
   backward(g, ws, grads_);
@@ -318,6 +300,7 @@ std::vector<Matrix> Dgcnn::make_gradient_buffers() const {
 }
 
 void Dgcnn::add_gradients(const std::vector<Matrix>& grads) {
+  ensure_training_buffers();
   if (grads.size() != grads_.size()) throw std::invalid_argument("add_gradients: mismatch");
   const KernelTable& kn = kernels();
   for (std::size_t p = 0; p < grads.size(); ++p) {
@@ -356,73 +339,64 @@ void Dgcnn::backward(const GraphSample& g, Workspace& ws, std::vector<Matrix>& g
   // hid > 0 (masked units are exactly 0, and ReLU zeros negatives).
   kn.relu_dropout_backward(dhid.data(), ws.hid.data(), ws.mask.data(), dhid.size());
 
-  // Dense 1.
-  Matrix& gw5 = grads[w5_];
+  // Dense 1; units with a zero gradient (dropped or inactive) are skipped.
+  const std::size_t f_len = ws.c2.size();
   Matrix& gb5 = grads[b5_];
-  std::vector<double>& df = ws.df;
-  df.assign(ws.f.size(), 0.0);
   for (int u = 0; u < cfg_.dense_units; ++u) {
-    if (dhid[u] == 0.0) continue;
-    gb5.at(0, u) += dhid[u];
-    kn.axpy(dhid[u], ws.f.data(), gw5.row(u), ws.f.size());
-    kn.axpy(dhid[u], params_[w5_].row(u), df.data(), df.size());
+    if (dhid[u] != 0.0) gb5.at(0, u) += dhid[u];
   }
+  Matrix& gw5 = grads[w5_];
+  kn.axpy_rows(cfg_.dense_units, 1, f_len, dhid.data(), 0, 1, ws.c2.data(), 0, gw5.row(0),
+               gw5.ld);
+  std::vector<double>& df = ws.df;
+  df.assign(f_len, 0.0);
+  kn.axpy_rows(1, cfg_.dense_units, f_len, dhid.data(), 1, 0, params_[w5_].row(0),
+               params_[w5_].ld, df.data(), 0);
 
-  // Conv2 (df is dC2 post-ReLU, flattened row-major). Same packed-window
-  // trick as the forward pass: with contiguous pooled rows the weight-grad
-  // and input-grad updates are each ONE axpy over the whole window.
-  Matrix& dm = ws.dm;
-  dm.resize(pooled_len_, cfg_.conv1d_channels1);
-  Matrix& gk2 = grads[k2_];
+  // Conv2 (df is dC2 post-ReLU, packed like c2). ReLU' zeroes df in place,
+  // so the kernels skip inactive outputs. Each weight row gathers its
+  // windows in ascending t, and the windows' overlapping dm rows chain in
+  // ascending t, then c.
+  const int ch1 = cfg_.conv1d_channels1;
+  const int ch2 = cfg_.conv1d_channels2;
+  const int window2 = cfg_.conv1d_kernel2 * ch1;
   Matrix& gb2 = grads[b2_];
-  const bool dm_packed = ws.m.ld == ws.m.cols && dm.ld == dm.cols;
-  const int window2 = cfg_.conv1d_kernel2 * cfg_.conv1d_channels1;
-  for (int t = 0; t < conv2_len_; ++t) {
-    for (int c = 0; c < cfg_.conv1d_channels2; ++c) {
-      const double out = ws.c2.at(t, c);
-      double d = df[static_cast<std::size_t>(t) * cfg_.conv1d_channels2 + c];
-      if (out <= 0.0 || d == 0.0) continue;
-      gb2.at(0, c) += d;
-      double* gw = gk2.row(c);
-      const double* w = params_[k2_].row(c);
-      if (dm_packed) {
-        kn.axpy(d, ws.m.row(t), gw, window2);
-        kn.axpy(d, w, dm.row(t), window2);
-      } else {
-        for (int dt = 0; dt < cfg_.conv1d_kernel2; ++dt) {
-          const int wi = dt * cfg_.conv1d_channels1;
-          kn.axpy(d, ws.m.row(t + dt), gw + wi, cfg_.conv1d_channels1);
-          kn.axpy(d, w + wi, dm.row(t + dt), cfg_.conv1d_channels1);
-        }
-      }
-    }
+  for (std::size_t e = 0; e < df.size(); ++e) {
+    if (ws.c2[e] <= 0.0) df[e] = 0.0;
+    if (df[e] != 0.0) gb2.at(0, static_cast<int>(e % ch2)) += df[e];
   }
+  Matrix& gk2 = grads[k2_];
+  kn.axpy_rows(ch2, conv2_len_, window2, df.data(), ch2, 1, ws.m.data(), ch1, gk2.row(0), gk2.ld);
+  std::vector<double>& dm = ws.dm;
+  dm.assign(ws.m.size(), 0.0);
+  kn.axpy_rows(conv2_len_, ch2, window2, df.data(), 1, ch2, params_[k2_].row(0),
+               params_[k2_].ld, dm.data(), ch1);
 
   // Max-pool: route to argmax frame.
   Matrix& dc1 = ws.dc1;
-  dc1.resize(k, cfg_.conv1d_channels1);
+  dc1.resize(k, ch1);
   for (int t = 0; t < pooled_len_; ++t) {
-    for (int c = 0; c < cfg_.conv1d_channels1; ++c) {
-      const double d = dm.at(t, c);
-      if (d == 0.0) continue;
-      dc1.at(ws.argmax[static_cast<std::size_t>(t) * cfg_.conv1d_channels1 + c], c) += d;
+    for (int c = 0; c < ch1; ++c) {
+      const std::size_t e = static_cast<std::size_t>(t) * ch1 + c;
+      if (dm[e] != 0.0) dc1.at(ws.argmax[e], c) += dm[e];
     }
   }
 
-  // Conv1 (+ ReLU).
-  Matrix& ds = ws.ds;
-  ds.resize(k, cat_dim_);
-  Matrix& gk1 = grads[k1_];
+  // Conv1 (+ ReLU), masked in place like conv2.
   Matrix& gb1 = grads[b1_];
   for (int t = 0; t < k; ++t) {
-    for (int c = 0; c < cfg_.conv1d_channels1; ++c) {
-      double d = dc1.at(t, c);
-      if (d == 0.0 || ws.c1.at(t, c) <= 0.0) continue;
-      gb1.at(0, c) += d;
-      kn.axpy(d, ws.s.row(t), gk1.row(c), cat_dim_);
-      kn.axpy(d, params_[k1_].row(c), ds.row(t), cat_dim_);
+    for (int c = 0; c < ch1; ++c) {
+      double& d = dc1.at(t, c);
+      if (ws.c1.at(t, c) <= 0.0) d = 0.0;
+      if (d != 0.0) gb1.at(0, c) += d;
     }
   }
+  Matrix& gk1 = grads[k1_];
+  kn.axpy_rows(ch1, k, cat_dim_, dc1.row(0), dc1.ld, 1, ws.s.row(0), ws.s.ld, gk1.row(0), gk1.ld);
+  Matrix& ds = ws.ds;
+  ds.resize(k, cat_dim_);
+  kn.axpy_rows(k, ch1, cat_dim_, dc1.row(0), 1, dc1.ld, params_[k1_].row(0), params_[k1_].ld,
+               ds.row(0), ds.ld);
 
   // SortPooling scatter: segment ds rows back onto dH_l of selected nodes.
   const int n = g.x.rows;
@@ -454,28 +428,91 @@ void Dgcnn::backward(const GraphSample& g, Workspace& ws, std::vector<Matrix>& g
   }
 }
 
-void Dgcnn::adam_step(std::size_t batch_size) {
+double Dgcnn::step(std::span<std::vector<Matrix>> slots, std::size_t batch_size,
+                   double clip_grad, bool want_norm) {
+  ensure_training_buffers();
+  for (std::size_t p = 0; p < params_.size(); ++p) {
+    if (params_[p].borrowed()) {
+      // Mapped (zoo) weights are read-only views; training must go through
+      // an owning copy (warm-start materializes before fine-tuning).
+      throw std::logic_error("Dgcnn::step: parameters are a read-only mapped view");
+    }
+    for (const std::vector<Matrix>& slot : slots) {
+      if (slot.size() != params_.size() || slot[p].data.size() != grads_[p].data.size()) {
+        throw std::invalid_argument("Dgcnn::step: gradient slot shape mismatch");
+      }
+    }
+  }
   const double b1 = 0.9, b2 = 0.999;
   ++adam_t_;
   const double bc1 = 1.0 - std::pow(b1, static_cast<double>(adam_t_));
   const double bc2 = 1.0 - std::pow(b2, static_cast<double>(adam_t_));
   const double scale = batch_size > 0 ? 1.0 / static_cast<double>(batch_size) : 1.0;
   const KernelTable& kn = kernels();
+
+  // Fixed spans of whole padded buffers, cut at multiples of the 4-lane
+  // vector so each element takes the same kernel path as a whole-tensor call.
+  constexpr std::size_t kSpan = 4096;
+  struct Span {
+    std::size_t tensor, begin, len;
+  };
+  std::vector<Span> spans;
   for (std::size_t p = 0; p < params_.size(); ++p) {
-    if (params_[p].borrowed()) {
-      // Mapped (zoo) weights are read-only views; training must go through
-      // an owning copy (warm-start materializes before fine-tuning).
-      throw std::logic_error("Dgcnn::adam_step: parameters are a read-only mapped view");
-    }
-    // Whole padded buffers: zero grad/m/v leave the zero pad weights zero.
-    kn.adam_update(params_[p].data.data(), grads_[p].data.data(), adam_m_[p].data.data(),
-                   adam_v_[p].data.data(), params_[p].data.size(), cfg_.learning_rate, bc1, bc2,
-                   scale);
+    const std::size_t n = grads_[p].data.size();
+    for (std::size_t b = 0; b < n; b += kSpan) spans.push_back({p, b, std::min(kSpan, n - b)});
   }
+  const auto reduce = [&](const Span& sp) {
+    double* g = grads_[sp.tensor].data.data() + sp.begin;
+    for (std::vector<Matrix>& slot : slots) {
+      double* src = slot[sp.tensor].data.data() + sp.begin;
+      kn.add(g, src, sp.len);
+      std::fill(src, src + sp.len, 0.0);
+    }
+  };
+  // Whole padded buffers: zero grad/m/v leave the zero pad weights zero.
+  const auto update = [&](const Span& sp) {
+    const std::size_t p = sp.tensor, b = sp.begin;
+    kn.adam_update(params_[p].data.data() + b, grads_[p].data.data() + b,
+                   adam_m_[p].data.data() + b, adam_v_[p].data.data() + b, sp.len,
+                   cfg_.learning_rate, bc1, bc2, scale);
+  };
+  const auto over_spans = [&](const auto& fn) {
+    common::parallel_for(spans.size(), 1, [&](std::size_t begin, std::size_t end, std::size_t) {
+      for (std::size_t i = begin; i < end; ++i) fn(spans[i]);
+    });
+  };
+
+  if (!want_norm && clip_grad <= 0.0) {
+    over_spans([&](const Span& sp) {
+      reduce(sp);
+      update(sp);
+    });
+    return 0.0;
+  }
+  over_spans(reduce);
+  // sumsq_acc chains each tensor from the running accumulator: one
+  // cross-tensor summation chain (the pad lanes add exact +0 terms).
+  double sumsq = 0.0;
+  for (const Matrix& g : grads_) sumsq = kn.sumsq_acc(sumsq, g.data.data(), g.data.size());
+  const double norm = std::sqrt(sumsq);
+  if (clip_grad > 0.0) {
+    const double avg_norm = norm / static_cast<double>(batch_size);
+    if (std::isfinite(avg_norm) && avg_norm > clip_grad) scale_gradients(clip_grad / avg_norm);
+  }
+  over_spans(update);
+  return norm;
 }
 
+void Dgcnn::adam_step(std::size_t batch_size) { step({}, batch_size); }
+
 void Dgcnn::zero_gradients() {
+  ensure_training_buffers();
   for (Matrix& g : grads_) g.zero();
+}
+
+Dgcnn::OptimizerState Dgcnn::optimizer_state() const {
+  if (adam_m_.empty()) return {make_gradient_buffers(), make_gradient_buffers(), adam_t_};
+  return {adam_m_, adam_v_, adam_t_};
 }
 
 void Dgcnn::set_optimizer_state(const OptimizerState& state) {
@@ -493,6 +530,7 @@ void Dgcnn::reset_optimizer() {
 }
 
 void Dgcnn::scale_gradients(double factor) {
+  ensure_training_buffers();
   const KernelTable& kn = kernels();
   for (Matrix& g : grads_) kn.scale(g.data.data(), factor, g.data.size());
 }

@@ -109,12 +109,26 @@ class Dgcnn {
   std::vector<Matrix> make_gradient_buffers() const;
 
   // Adds `grads` (from make_gradient_buffers) into the internal accumulators
-  // consumed by adam_step. Callers reduce per-chunk buffers in a fixed chunk
-  // order to keep training bit-identical for any thread count.
+  // consumed by adam_step.
   void add_gradients(const std::vector<Matrix>& grads);
 
+  // One optimizer step over a batch of `batch_size` samples whose gradients
+  // sit in `slots` (buffers from make_gradient_buffers). Equivalent bit for
+  // bit to add_gradients() over the slots in order, zeroing each slot, then
+  // adam_step(batch_size); but it runs on the thread pool over fixed spans
+  // of every tensor, and every op in it is element-wise, so the result does
+  // not depend on the thread count.
+  //
+  // With `want_norm` or `clip_grad > 0` the slots are reduced first and the
+  // L2 norm of the merged (unaveraged) gradient is taken in one serial
+  // chain; if norm / batch_size exceeds `clip_grad` (> 0), the gradient is
+  // scaled down to it before the Adam pass. Returns that norm, or 0 when it
+  // was not computed.
+  double step(std::span<std::vector<Matrix>> slots, std::size_t batch_size,
+              double clip_grad = 0.0, bool want_norm = false);
+
   // Adam step over the gradients accumulated since the last step, averaged
-  // over `batch_size` samples; clears the accumulators.
+  // over `batch_size` samples; clears the accumulators. step() with no slots.
   void adam_step(std::size_t batch_size);
 
   // Parameter snapshot (for best-on-validation checkpointing).
@@ -124,12 +138,13 @@ class Dgcnn {
   // Optimizer state (Adam moments + step counter) for crash-safe trainer
   // checkpoints (gnn/checkpoint.h): resuming mid-training is bit-identical
   // to an uninterrupted run only if the moments and step count survive too.
+  // A model that never trained reports zero moments.
   struct OptimizerState {
     std::vector<Matrix> m;
     std::vector<Matrix> v;
     long t = 0;
   };
-  OptimizerState optimizer_state() const { return {adam_m_, adam_v_, adam_t_}; }
+  OptimizerState optimizer_state() const;
   void set_optimizer_state(const OptimizerState& state);  // validates shapes
   // Zeros the moments and the step counter (divergence rollback: NaN-
   // poisoned moments must not leak into the restarted trajectory).
@@ -140,11 +155,13 @@ class Dgcnn {
   void set_learning_rate(double lr) noexcept { cfg_.learning_rate = lr; }
 
   // Scales the accumulated (pre-adam_step) gradients in place — the
-  // trainer's global-norm gradient clipping.
+  // global-norm gradient clipping of step().
   void scale_gradients(double factor);
 
   // Accumulated (unaveraged) gradients since the last adam_step — exposed
-  // for gradient-checking tests and optimizer experiments.
+  // for gradient-checking tests and optimizer experiments. Empty until the
+  // first training-side call: a model that only scores never allocates its
+  // gradient or Adam buffers.
   const std::vector<Matrix>& gradients() const noexcept { return grads_; }
   void zero_gradients();
 
@@ -160,10 +177,15 @@ class Dgcnn {
   double forward(const GraphSample& g, bool training, Workspace& ws,
                  std::mt19937_64* rng) const;
   void backward(const GraphSample& g, Workspace& ws, std::vector<Matrix>& grads) const;
+  struct ParamShape {
+    int rows, cols;
+    bool glorot;  // Glorot-initialised (weights) or zero (biases)
+  };
   // Validates the config, sets the layer geometry and parameter indices,
-  // and allocates the zeroed gradient and Adam buffers (which fix every
-  // parameter's shape); returns which parameters are Glorot-initialised.
-  std::vector<bool> build_topology();
+  // and returns every parameter's shape in save_parameters() order.
+  std::vector<ParamShape> build_topology();
+  // Allocates the zeroed gradient accumulators and Adam moments on first use.
+  void ensure_training_buffers();
 
   DgcnnConfig cfg_;
   int feature_dim_;
@@ -172,7 +194,8 @@ class Dgcnn {
   int conv2_len_ = 0;  // frames after the second 1-D conv
   std::mt19937_64 rng_;
 
-  // Parameters, gradients, and Adam moments share indexing.
+  // Parameters, gradients, and Adam moments share indexing; the last three
+  // stay empty until ensure_training_buffers().
   std::vector<Matrix> params_;
   std::vector<Matrix> grads_;
   std::vector<Matrix> adam_m_;

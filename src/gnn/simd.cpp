@@ -79,6 +79,27 @@ void s_axpy(double alpha, const double* x, double* y, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += alpha * x[i];
 }
 
+void s_dot_rows(std::size_t m, std::size_t nout, std::size_t n, const double* x,
+                std::size_t ldx, const double* w, std::size_t ldw, const double* init,
+                double* out, std::size_t ldo) {
+  for (std::size_t i = 0; i < m; ++i) {
+    for (std::size_t j = 0; j < nout; ++j) {
+      out[i * ldo + j] = s_dot_acc(init[j], w + j * ldw, x + i * ldx, n);
+    }
+  }
+}
+
+void s_axpy_rows(std::size_t nq, std::size_t np, std::size_t n, const double* alpha,
+                 std::size_t asp, std::size_t asq, const double* x, std::size_t ldx, double* y,
+                 std::size_t ldy) {
+  for (std::size_t q = 0; q < nq; ++q) {
+    for (std::size_t p = 0; p < np; ++p) {
+      const double a = alpha[p * asp + q * asq];
+      if (a != 0.0) s_axpy(a, x + p * ldx, y + q * ldy, n);
+    }
+  }
+}
+
 void s_add(double* y, const double* x, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) y[i] += x[i];
 }
@@ -123,6 +144,8 @@ constexpr KernelTable kScalarTable = {
     s_sigmoid_inplace,
     s_dot_acc,
     s_axpy,
+    s_dot_rows,
+    s_axpy_rows,
     s_add,
     s_scale,
     s_sumsq_acc,

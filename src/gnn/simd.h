@@ -17,11 +17,12 @@
 // independent IEEE ops in the scalar order (propagate, propagate_transpose,
 // tanh_backward_inplace, add, scale, relu_dropout_backward, adam_update) are
 // bit-identical across tables. Kernels that reassociate sums across lanes or
-// contract mul+add into FMA (matmul*, dot_acc, axpy, sumsq_acc) — or replace
-// libm calls with vector polynomials (tanh, sigmoid) — are
-// tolerance-equivalent only; WITHIN one table they are still fully
-// deterministic, which is what the reproducibility contract actually
-// requires.
+// contract mul+add into FMA (matmul*, dot_acc, axpy, dot_rows, axpy_rows,
+// sumsq_acc) — or replace libm calls with vector polynomials (tanh,
+// sigmoid) — are tolerance-equivalent only; WITHIN one table they are still
+// fully deterministic, which is what the reproducibility contract actually
+// requires. dot_rows/axpy_rows are additionally bit-identical to the same
+// table's dot_acc/axpy chains.
 //
 // The pads-are-zero invariant of Matrix (matrix.h) is what lets the AVX2
 // kernels stream whole padded rows and whole padded buffers tail-free; any
@@ -69,6 +70,24 @@ struct KernelTable {
   double (*dot_acc)(double init, const double* x, const double* y, std::size_t n);
   // y[i] += alpha * x[i]
   void (*axpy)(double alpha, const double* x, double* y, std::size_t n);
+
+  // Multi-row kernels of the 1-D conv / dense stack. Each output element is
+  // bit-identical to the per-call chain of the SAME table, so swapping a
+  // dot_acc/axpy loop for one call changes no bits. Row strides may be
+  // smaller than n: overlapping rows are how conv2 reads its im2col windows.
+  //
+  // out[i*ldo + j] = dot_acc(init[j], w + j*ldw, x + i*ldx, n)
+  // for i < m, j < nout.
+  void (*dot_rows)(std::size_t m, std::size_t nout, std::size_t n, const double* x,
+                   std::size_t ldx, const double* w, std::size_t ldw, const double* init,
+                   double* out, std::size_t ldo);
+  // For q < nq, then p < np, both ascending, with a = alpha[p*asp + q*asq]:
+  // if (a != 0) axpy(a, x + p*ldx, y + q*ldy, n). Zero alphas are skipped, so
+  // a NaN in a skipped x row never reaches y; overlapping y rows chain in
+  // ascending q.
+  void (*axpy_rows)(std::size_t nq, std::size_t np, std::size_t n, const double* alpha,
+                    std::size_t asp, std::size_t asq, const double* x, std::size_t ldx,
+                    double* y, std::size_t ldy);
   // y[i] += x[i]. Pad-safe (0 += 0).
   void (*add)(double* y, const double* x, std::size_t n);
   // x[i] *= alpha. Pad-safe (0 *= alpha).

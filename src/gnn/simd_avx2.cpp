@@ -8,11 +8,13 @@
 //                   perform the scalar op sequence per element with no FMA
 //                   contraction and no cross-lane reassociation.
 //   tolerance     : matmul / matmul_at_b_accum / matmul_a_bt / dot_acc /
-//                   sumsq_acc (FMA + 4-lane partial sums reassociate the
-//                   reduction), tanh / sigmoid (Cephes-style polynomial exp
-//                   instead of libm). All are still deterministic for fixed
-//                   inputs — reproducibility within the avx2 configuration
-//                   is exact, as test_simd asserts.
+//                   axpy / dot_rows / axpy_rows / sumsq_acc (FMA + 4-lane
+//                   partial sums reassociate the reduction), tanh / sigmoid
+//                   (Cephes-style polynomial exp instead of libm). All are
+//                   still deterministic for fixed inputs — reproducibility
+//                   within the avx2 configuration is exact, as test_simd
+//                   asserts. dot_rows / axpy_rows are bit-identical to the
+//                   v_dot_acc / v_axpy chains they replace.
 //
 // Pads: every Matrix row stride is a multiple of 4 doubles with zero pad
 // lanes, so row-streaming loops below run to `ld` tail-free; products and
@@ -20,6 +22,7 @@
 // invariant. Raw-pointer kernels (dot_acc, axpy, ...) take logical lengths
 // and use unaligned loads plus scalar tails, because they also run over
 // plain std::vector activations.
+#include <algorithm>
 #include <cassert>
 #include <cmath>
 #include <cstddef>
@@ -378,6 +381,111 @@ void v_axpy(double alpha, const double* x, double* y, std::size_t n) {
   for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
+// hsum_pd of four accumulators at once: lane r of the result is
+// (c_r[0] + c_r[2]) + (c_r[1] + c_r[3]), hsum_pd's exact association.
+inline __m256d hsum4_pd(__m256d c0, __m256d c1, __m256d c2, __m256d c3) {
+  const __m256d s02 = _mm256_add_pd(_mm256_permute2f128_pd(c0, c2, 0x20),
+                                    _mm256_permute2f128_pd(c0, c2, 0x31));
+  const __m256d s13 = _mm256_add_pd(_mm256_permute2f128_pd(c1, c3, 0x20),
+                                    _mm256_permute2f128_pd(c1, c3, 0x31));
+  return _mm256_hadd_pd(s02, s13);
+}
+
+// B outputs of one x row: B independent v_dot_acc chains sharing each x
+// load, then init + hsum and the scalar tail per output, as v_dot_acc does.
+template <int B>
+inline void dot_block(const double* xi, const double* w, std::size_t ldw, std::size_t n,
+                      const double* init, double* out) {
+  static_assert(B % 4 == 0);
+  const std::size_t body = n & ~std::size_t{3};
+  __m256d c[B];
+#pragma GCC unroll 8
+  for (int b = 0; b < B; ++b) c[b] = _mm256_setzero_pd();
+  for (std::size_t k = 0; k < body; k += 4) {
+    const __m256d vx = _mm256_loadu_pd(xi + k);
+#pragma GCC unroll 8
+    for (int b = 0; b < B; ++b) c[b] = _mm256_fmadd_pd(_mm256_loadu_pd(w + b * ldw + k), vx, c[b]);
+  }
+  for (int b = 0; b < B; b += 4) {
+    double s[4];
+    _mm256_storeu_pd(s, _mm256_add_pd(_mm256_loadu_pd(init + b),
+                                      hsum4_pd(c[b], c[b + 1], c[b + 2], c[b + 3])));
+    for (int r = 0; r < 4; ++r) {
+      const double* wr = w + (b + r) * ldw;
+      for (std::size_t k = body; k < n; ++k) s[r] += wr[k] * xi[k];
+      out[b + r] = s[r];
+    }
+  }
+}
+
+void v_dot_rows(std::size_t m, std::size_t nout, std::size_t n, const double* x,
+                std::size_t ldx, const double* w, std::size_t ldw, const double* init,
+                double* out, std::size_t ldo) {
+  for (std::size_t i = 0; i < m; ++i) {
+    const double* xi = x + i * ldx;
+    double* oi = out + i * ldo;
+    std::size_t j = 0;
+    for (; j + 8 <= nout; j += 8) dot_block<8>(xi, w + j * ldw, ldw, n, init + j, oi + j);
+    for (; j + 4 <= nout; j += 4) dot_block<4>(xi, w + j * ldw, ldw, n, init + j, oi + j);
+    for (; j < nout; ++j) oi[j] = v_dot_acc(init[j], w + j * ldw, xi, n);
+  }
+}
+
+// V vectors of one y row starting at y[i]: loaded once, then one FMA per
+// gathered (x row, alpha) pair in order, then stored.
+template <int V>
+inline void axpy_tile(double* y, const double* const* xs, const double* as, std::size_t cnt,
+                      std::size_t i) {
+  __m256d acc[V];
+#pragma GCC unroll 8
+  for (int v = 0; v < V; ++v) acc[v] = _mm256_loadu_pd(y + i + 4 * v);
+  for (std::size_t t = 0; t < cnt; ++t) {
+    const __m256d va = _mm256_set1_pd(as[t]);
+    const double* xp = xs[t] + i;
+#pragma GCC unroll 8
+    for (int v = 0; v < V; ++v) acc[v] = _mm256_fmadd_pd(va, _mm256_loadu_pd(xp + 4 * v), acc[v]);
+  }
+#pragma GCC unroll 8
+  for (int v = 0; v < V; ++v) _mm256_storeu_pd(y + i + 4 * v, acc[v]);
+}
+
+// Each y row is visited once per group of up to kPairs source rows: the
+// group's nonzero (x row, alpha) pairs are gathered first, so the tile loops
+// below carry no alpha test. Every element still takes its FMAs (body) or
+// mul+adds (tail) in ascending p, exactly as repeated v_axpy calls would.
+void v_axpy_rows(std::size_t nq, std::size_t np, std::size_t n, const double* alpha,
+                 std::size_t asp, std::size_t asq, const double* x, std::size_t ldx, double* y,
+                 std::size_t ldy) {
+  constexpr std::size_t kPairs = 128;
+  const double* xs[kPairs];
+  double as[kPairs];
+  const std::size_t body = n & ~std::size_t{3};
+  for (std::size_t q = 0; q < nq; ++q) {
+    double* yq = y + q * ldy;
+    for (std::size_t p0 = 0; p0 < np; p0 += kPairs) {
+      const std::size_t pend = std::min(np, p0 + kPairs);
+      std::size_t cnt = 0;
+      for (std::size_t p = p0; p < pend; ++p) {
+        const double a = alpha[p * asp + q * asq];
+        if (a != 0.0) {
+          xs[cnt] = x + p * ldx;
+          as[cnt++] = a;
+        }
+      }
+      if (cnt == 0) continue;
+      std::size_t i = 0;
+      for (; i + 32 <= body; i += 32) axpy_tile<8>(yq, xs, as, cnt, i);
+      for (; i + 16 <= body; i += 16) axpy_tile<4>(yq, xs, as, cnt, i);
+      for (; i < body; i += 4) axpy_tile<1>(yq, xs, as, cnt, i);
+      for (; i < n; ++i) {
+        double yi = yq[i];
+        for (std::size_t t = 0; t < cnt; ++t) yi += as[t] * xs[t][i];
+        yq[i] = yi;
+      }
+    }
+  }
+}
+
 void v_add(double* y, const double* x, std::size_t n) {
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
@@ -479,6 +587,8 @@ constexpr KernelTable kAvx2Table = {
     v_sigmoid_inplace,
     v_dot_acc,
     v_axpy,
+    v_dot_rows,
+    v_axpy_rows,
     v_add,
     v_scale,
     v_sumsq_acc,

@@ -13,7 +13,6 @@
 #include "common/metrics.h"
 #include "common/thread_pool.h"
 #include "gnn/checkpoint.h"
-#include "gnn/simd.h"
 
 namespace muxlink::gnn {
 
@@ -47,16 +46,6 @@ double evaluate_auc_ptrs(Dgcnn& model, const std::vector<const GraphSample*>& sa
                          }
                        });
   return auc_from_scores(scores, labels);
-}
-
-double grad_sumsq(const std::vector<Matrix>& grads) {
-  // sumsq_acc chains each tensor from the running accumulator, preserving
-  // the single cross-tensor summation chain of the scalar oracle (the pad
-  // lanes contribute exact +0 terms).
-  const KernelTable& kn = kernels();
-  double s = 0.0;
-  for (const Matrix& m : grads) s = kn.sumsq_acc(s, m.data.data(), m.data.size());
-  return s;
 }
 
 }  // namespace
@@ -208,9 +197,9 @@ TrainReport train_link_predictor(Dgcnn& model, const std::vector<GraphSample>& s
 
   // Per-slot gradient buffers: a batch is cut into fixed kGradChunk-sample
   // slots; each slot accumulates its samples' gradients sequentially (in
-  // sample order) into its own buffer, and the buffers are reduced into the
-  // model in slot order. Both orders depend only on the batch layout, so
-  // training is bit-identical for any thread count.
+  // sample order) into its own buffer, and Dgcnn::step reduces the buffers
+  // into the model in slot order. Both orders depend only on the batch
+  // layout, so training is bit-identical for any thread count.
   const std::size_t batch = static_cast<std::size_t>(std::max(1, opts.batch_size));
   const std::size_t max_slots = common::num_chunks(batch, kGradChunk);
   std::vector<std::vector<Matrix>> slot_grads;
@@ -255,24 +244,10 @@ TrainReport train_link_predictor(Dgcnn& model, const std::vector<GraphSample>& s
             }
             slot_loss[slot] = loss;
           });
-      for (std::size_t s = 0; s < slots; ++s) {
-        model.add_gradients(slot_grads[s]);
-        loss_sum += slot_loss[s];
-        for (Matrix& m : slot_grads[s]) m.zero();
-      }
-      if (want_norm) {
-        // Norm of the merged (unaveraged) batch gradient; telemetry
-        // reports the pre-clip value.
-        const double norm = std::sqrt(grad_sumsq(model.gradients()));
-        grad_norm_sum += norm;
-        if (opts.clip_grad > 0.0) {
-          const double avg_norm = norm / static_cast<double>(bsz);
-          if (std::isfinite(avg_norm) && avg_norm > opts.clip_grad) {
-            model.scale_gradients(opts.clip_grad / avg_norm);
-          }
-        }
-      }
-      model.adam_step(bsz);
+      for (std::size_t s = 0; s < slots; ++s) loss_sum += slot_loss[s];
+      // Telemetry reports the pre-clip norm of the merged batch gradient.
+      grad_norm_sum += model.step(std::span(slot_grads.data(), slots), bsz, opts.clip_grad,
+                                  want_norm);
       ++num_batches;
     }
     double train_loss =

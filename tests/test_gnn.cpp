@@ -202,6 +202,27 @@ TEST(Dgcnn, RejectsBadConfig) {
   EXPECT_THROW(Dgcnn(12, cfg), std::invalid_argument);
 }
 
+// Gradient accumulators and Adam moments are allocated on the first
+// training-side call: a model that only scores never holds them, and a
+// never-trained model still reports zero moments of the right shapes.
+TEST(Dgcnn, TrainingBuffersAreAllocatedOnFirstTrainingCall) {
+  Dgcnn model(12, tiny_config());
+  const GraphSample g = tiny_sample(1, 4);
+  model.predict(g);
+  model.predict(g, /*training=*/true);
+  EXPECT_TRUE(model.gradients().empty());
+  const auto fresh = model.optimizer_state();
+  ASSERT_EQ(fresh.m.size(), model.save_parameters().size());
+  for (const Matrix& m : fresh.m) {
+    for (const double x : m.data) EXPECT_EQ(x, 0.0);
+  }
+
+  model.accumulate_gradients(g);
+  ASSERT_EQ(model.gradients().size(), model.save_parameters().size());
+  model.adam_step(1);
+  EXPECT_EQ(model.optimizer_state().t, 1);
+}
+
 TEST(Dgcnn, SaveLoadRoundTrip) {
   Dgcnn model(12, tiny_config());
   const GraphSample g = tiny_sample(1, 9);

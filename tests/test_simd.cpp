@@ -9,6 +9,11 @@
 //     dot_acc, axpy, sumsq_acc, tanh, sigmoid: lane reassociation / FMA /
 //     polynomial exp change low-order bits only.
 //
+// Within each table, the multi-row kernels dot_rows/axpy_rows are
+// bit-identical to the dot_acc/axpy loops they replace, and Dgcnn::step is
+// bit-identical to add_gradients + adam_step at any thread count; a CRC of a
+// small trained model pins both tables' bytes.
+//
 // Shapes are deliberately odd/prime so every padded row has live pad lanes
 // and every remainder loop in the AVX2 TU runs. On hosts without AVX2+FMA
 // the equivalence suite skips (there is nothing to compare); the dispatch
@@ -18,13 +23,17 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <random>
+#include <sstream>
 #include <vector>
 
 #include "circuitgen/generator.h"
 #include "common/cpu_features.h"
+#include "common/crc32.h"
 #include "common/thread_pool.h"
 #include "gnn/encoding.h"
+#include "gnn/serialize.h"
 #include "gnn/simd.h"
 #include "gnn/trainer.h"
 #include "graph/circuit_graph.h"
@@ -301,16 +310,8 @@ TEST(SimdDispatch, CpuInfoJsonHasManifestFields) {
   }
 }
 
-// Determinism of the vectorized configuration: with MUXLINK_SIMD=avx2 the
-// trainer must be bit-identical across 1/2/8 threads and across repeats,
-// exactly like the scalar contract in test_parallel_determinism.
-TEST(SimdDeterminism, Avx2TrainingBitIdenticalAcrossThreadCounts) {
-  if (gnn::avx2_kernels() == nullptr) {
-    GTEST_SKIP() << "host or build lacks AVX2+FMA";
-  }
-  ModeGuard guard;
-  common::set_simd_mode(common::SimdMode::kAvx2);
-
+// Encoded 2-hop link subgraphs of a small generated circuit.
+std::vector<gnn::GraphSample> small_dataset() {
   circuitgen::CircuitSpec spec;
   spec.seed = 4;
   spec.num_gates = 120;
@@ -326,6 +327,20 @@ TEST(SimdDeterminism, Avx2TrainingBitIdenticalAcrossThreadCounts) {
     data.push_back(gnn::encode_subgraph(graph::extract_enclosing_subgraph(g, ls.link, sopts),
                                         sopts.hops, ls.positive ? 1 : 0));
   }
+  return data;
+}
+
+// Determinism of the vectorized configuration: with MUXLINK_SIMD=avx2 the
+// trainer must be bit-identical across 1/2/8 threads and across repeats,
+// exactly like the scalar contract in test_parallel_determinism.
+TEST(SimdDeterminism, Avx2TrainingBitIdenticalAcrossThreadCounts) {
+  if (gnn::avx2_kernels() == nullptr) {
+    GTEST_SKIP() << "host or build lacks AVX2+FMA";
+  }
+  ModeGuard guard;
+  common::set_simd_mode(common::SimdMode::kAvx2);
+
+  const std::vector<gnn::GraphSample> data = small_dataset();
   ASSERT_GT(data.size(), 15u);
 
   const auto train_at = [&](std::size_t threads) {
@@ -367,6 +382,268 @@ TEST(SimdDeterminism, Avx2TrainingBitIdenticalAcrossThreadCounts) {
                 std::bit_cast<std::uint64_t>(other->second[i]))
           << "prediction " << i;
     }
+  }
+}
+
+// --- multi-row kernels ------------------------------------------------------
+
+// The scalar table, plus the AVX2 table when the host and build have it.
+std::vector<const gnn::KernelTable*> all_tables() {
+  std::vector<const gnn::KernelTable*> t{&gnn::scalar_kernels()};
+  if (const gnn::KernelTable* a = gnn::avx2_kernels()) t.push_back(a);
+  return t;
+}
+
+std::vector<double> random_buffer(std::size_t n, std::mt19937_64& rng) {
+  std::uniform_real_distribution<double> u(-1.0, 1.0);
+  std::vector<double> v(n);
+  for (double& x : v) x = u(rng);
+  return v;
+}
+
+// Doubles spanned by `rows` rows of `n` elements at stride `ld`.
+std::size_t rows_extent(std::size_t rows, std::size_t n, std::size_t ld) {
+  return rows == 0 ? 0 : (rows - 1) * ld + n;
+}
+
+void expect_buffers_bit_equal(const std::vector<double>& want, const std::vector<double>& got,
+                              const char* what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(want[i]), std::bit_cast<std::uint64_t>(got[i]))
+        << what << " differs at element " << i << ": " << want[i] << " vs " << got[i];
+  }
+}
+
+TEST(SimdRows, DotRowsBitEqualToLoopedDotAcc) {
+  struct Shape {
+    std::size_t m, nout, n, ldx, ldw;
+  };
+  // n % 4 in {0, 1, 2, 3}; m = 1; ldx < n (overlapping x rows, as conv2's
+  // im2col windows); the DGCNN's conv1 (k x 16 x 97), conv2 (18 x 32 x 80
+  // at stride 16) and dense1 (1 x 128 x 576) shapes.
+  const Shape shapes[] = {
+      {1, 1, 4, 4, 4},    {1, 2, 5, 5, 8},       {3, 5, 6, 6, 8},      {2, 8, 7, 8, 7},
+      {5, 12, 9, 3, 9},   {4, 13, 2, 1, 2},      {1, 3, 1, 1, 1},      {45, 16, 97, 100, 100},
+      {18, 32, 80, 16, 80}, {1, 128, 576, 0, 576}, {1, 2, 128, 0, 128}, {7, 20, 31, 31, 33},
+  };
+  std::mt19937_64 rng(515);
+  for (const gnn::KernelTable* kn : all_tables()) {
+    for (const Shape& sh : shapes) {
+      const auto x = random_buffer(rows_extent(sh.m, sh.n, sh.ldx), rng);
+      const auto w = random_buffer(rows_extent(sh.nout, sh.n, sh.ldw), rng);
+      const auto init = random_buffer(sh.nout, rng);
+      const std::size_t ldo = sh.nout + 3;  // gaps between output rows stay untouched
+      std::vector<double> want(sh.m * ldo, -7.0), got(sh.m * ldo, -7.0);
+      for (std::size_t i = 0; i < sh.m; ++i) {
+        for (std::size_t j = 0; j < sh.nout; ++j) {
+          want[i * ldo + j] =
+              kn->dot_acc(init[j], w.data() + j * sh.ldw, x.data() + i * sh.ldx, sh.n);
+        }
+      }
+      kn->dot_rows(sh.m, sh.nout, sh.n, x.data(), sh.ldx, w.data(), sh.ldw, init.data(),
+                   got.data(), ldo);
+      SCOPED_TRACE(std::string(kn->isa) + " m=" + std::to_string(sh.m) +
+                   " nout=" + std::to_string(sh.nout) + " n=" + std::to_string(sh.n));
+      expect_buffers_bit_equal(want, got, "dot_rows");
+    }
+  }
+}
+
+TEST(SimdRows, AxpyRowsBitEqualToLoopedAxpy) {
+  struct Shape {
+    std::size_t nq, np, n, ldx, ldy;
+    bool q_major;  // alpha stored [q][p] (asq = np) rather than [p][q] (asp = nq)
+  };
+  // n % 4 in {0, 1, 2, 3}; one y row; overlapping y rows (ldy < n, conv2's
+  // dm) and x rows (ldx < n, conv2's weight gradient); more source rows
+  // than the AVX2 kernel gathers at once (np > 128).
+  const Shape shapes[] = {
+      {1, 1, 4, 4, 4, false},       {1, 6, 5, 5, 5, true},        {3, 4, 6, 8, 6, false},
+      {4, 3, 7, 7, 8, true},        {5, 7, 9, 9, 3, false},       {6, 5, 10, 2, 10, true},
+      {1, 128, 576, 576, 0, true},  {18, 32, 80, 80, 16, false},  {32, 18, 80, 16, 80, true},
+      {45, 16, 97, 100, 100, false}, {16, 150, 97, 100, 100, true}, {9, 11, 33, 35, 33, false},
+  };
+  std::mt19937_64 rng(733);
+  std::bernoulli_distribution zero(0.3);
+  for (const gnn::KernelTable* kn : all_tables()) {
+    for (const Shape& sh : shapes) {
+      auto x = random_buffer(rows_extent(sh.np, sh.n, sh.ldx), rng);
+      const auto y0 = random_buffer(rows_extent(sh.nq, sh.n, sh.ldy), rng);
+      const std::size_t asp = sh.q_major ? 1 : sh.nq;
+      const std::size_t asq = sh.q_major ? sh.np : 1;
+      auto alpha = random_buffer(sh.nq * sh.np, rng);
+      for (double& a : alpha) {
+        if (zero(rng)) a = 0.0;
+      }
+      // An all-zero alpha column (source row p = np / 2) and, with more
+      // than one y row, an all-zero alpha row (y row 0).
+      const std::size_t dead_p = sh.np / 2;
+      for (std::size_t q = 0; q < sh.nq; ++q) alpha[dead_p * asp + q * asq] = 0.0;
+      if (sh.nq > 1) {
+        for (std::size_t p = 0; p < sh.np; ++p) alpha[p * asp] = -0.0;
+      }
+      // A NaN in the dead source row must never reach y. With ldx < n the
+      // rows overlap, so poison the element only that row reads.
+      if (sh.ldx >= sh.n || dead_p == 0) {
+        x[dead_p * sh.ldx] = std::numeric_limits<double>::quiet_NaN();
+      }
+      std::vector<double> want = y0, got = y0;
+      for (std::size_t q = 0; q < sh.nq; ++q) {
+        for (std::size_t p = 0; p < sh.np; ++p) {
+          const double a = alpha[p * asp + q * asq];
+          if (a != 0.0) kn->axpy(a, x.data() + p * sh.ldx, want.data() + q * sh.ldy, sh.n);
+        }
+      }
+      kn->axpy_rows(sh.nq, sh.np, sh.n, alpha.data(), asp, asq, x.data(), sh.ldx, got.data(),
+                    sh.ldy);
+      SCOPED_TRACE(std::string(kn->isa) + " nq=" + std::to_string(sh.nq) +
+                   " np=" + std::to_string(sh.np) + " n=" + std::to_string(sh.n));
+      expect_buffers_bit_equal(want, got, "axpy_rows");
+      for (const double v : got) ASSERT_FALSE(std::isnan(v)) << "NaN leaked from a zero alpha";
+    }
+  }
+}
+
+// --- fused optimizer step ---------------------------------------------------
+
+// The modes whose table exists on this host.
+std::vector<common::SimdMode> available_modes() {
+  std::vector<common::SimdMode> modes{common::SimdMode::kScalar};
+  if (gnn::avx2_kernels() != nullptr) modes.push_back(common::SimdMode::kAvx2);
+  return modes;
+}
+
+// The paper's DGCNN head, cut down for test speed: sortpool_k = 14 keeps
+// three overlapping conv2 windows.
+gnn::DgcnnConfig step_config() {
+  gnn::DgcnnConfig cfg;
+  cfg.dense_units = 32;
+  cfg.sortpool_k = 14;
+  cfg.learning_rate = 1e-3;
+  cfg.seed = 5;
+  return cfg;
+}
+
+void expect_tensors_bit_equal(const std::vector<gnn::Matrix>& want,
+                              const std::vector<gnn::Matrix>& got, const char* what) {
+  ASSERT_EQ(want.size(), got.size()) << what;
+  for (std::size_t t = 0; t < want.size(); ++t) {
+    ASSERT_EQ(want[t].data.size(), got[t].data.size()) << what;
+    for (std::size_t i = 0; i < want[t].data.size(); ++i) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(want[t].data[i]),
+                std::bit_cast<std::uint64_t>(got[t].data[i]))
+          << what << " tensor " << t << " element " << i;
+    }
+  }
+}
+
+// Dgcnn::step == add_gradients over the slots + adam_step, bit for bit, at
+// 1, 2 and 4 threads and with or without norm clipping; the slots come
+// back zeroed and the returned norm is the serial one.
+TEST(DgcnnStep, FusedStepMatchesSerialReduceAndAdam) {
+  ModeGuard guard;
+  const std::vector<gnn::GraphSample> data = small_dataset();
+  const int fdim = gnn::feature_dim_for_hops(2);
+  constexpr std::size_t kSlots = 3, kPerSlot = 2, kSteps = 3;
+  for (const common::SimdMode mode : available_modes()) {
+    common::set_simd_mode(mode);
+    for (const double clip : {0.0, 1e-3}) {
+      std::vector<gnn::Matrix> first_params;
+      for (const std::size_t threads : {1u, 2u, 4u}) {
+        common::set_num_threads(threads);
+        SCOPED_TRACE(std::string(common::to_string(mode)) + " clip=" + std::to_string(clip) +
+                     " threads=" + std::to_string(threads));
+        gnn::Dgcnn fused(fdim, step_config());
+        gnn::Dgcnn serial(fdim, step_config());
+        for (std::size_t st = 0; st < kSteps; ++st) {
+          std::vector<std::vector<gnn::Matrix>> slots;
+          for (std::size_t s = 0; s < kSlots; ++s) {
+            slots.push_back(fused.make_gradient_buffers());
+            for (std::size_t i = 0; i < kPerSlot; ++i) {
+              const std::size_t pos = (st * kSlots + s) * kPerSlot + i;
+              fused.accumulate_gradients(data[pos % data.size()], slots[s], 1000 + pos);
+            }
+          }
+          const std::size_t batch = kSlots * kPerSlot;
+          for (const auto& slot : slots) serial.add_gradients(slot);
+          const gnn::KernelTable& kn = gnn::kernels();
+          double sumsq = 0.0;
+          for (const gnn::Matrix& g : serial.gradients()) {
+            sumsq = kn.sumsq_acc(sumsq, g.data.data(), g.data.size());
+          }
+          const double norm = std::sqrt(sumsq);
+          const double avg = norm / static_cast<double>(batch);
+          if (clip > 0.0 && avg > clip) serial.scale_gradients(clip / avg);
+          serial.adam_step(batch);
+
+          const double got_norm = fused.step(slots, batch, clip, /*want_norm=*/true);
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(norm), std::bit_cast<std::uint64_t>(got_norm));
+          if (clip > 0.0) {
+            EXPECT_GT(avg, clip) << "clip threshold never triggers";
+          }
+          for (const auto& slot : slots) {
+            for (const gnn::Matrix& g : slot) {
+              for (const double v : g.data) ASSERT_EQ(v, 0.0) << "slot not zeroed";
+            }
+          }
+        }
+        expect_tensors_bit_equal(serial.save_parameters(), fused.save_parameters(), "params");
+        const auto so = serial.optimizer_state();
+        const auto fo = fused.optimizer_state();
+        expect_tensors_bit_equal(so.m, fo.m, "adam m");
+        expect_tensors_bit_equal(so.v, fo.v, "adam v");
+        EXPECT_EQ(so.t, fo.t);
+        if (first_params.empty()) {
+          first_params = fused.save_parameters();
+        } else {
+          expect_tensors_bit_equal(first_params, fused.save_parameters(), "params vs 1 thread");
+        }
+      }
+    }
+  }
+  common::set_num_threads(0);
+}
+
+// --- golden bytes -----------------------------------------------------------
+
+// CRC-32 of the saved bytes of a small model trained for 2 epochs under
+// `mode` at `threads` threads.
+std::uint32_t trained_model_crc(common::SimdMode mode, std::size_t threads) {
+  common::set_simd_mode(mode);
+  common::set_num_threads(threads);
+  gnn::Dgcnn model(gnn::feature_dim_for_hops(2), step_config());
+  gnn::TrainOptions topts;
+  topts.epochs = 2;
+  topts.batch_size = 10;
+  topts.seed = 3;
+  gnn::train_link_predictor(model, small_dataset(), topts);
+  std::ostringstream os;
+  gnn::save_model(model, os);
+  common::set_num_threads(0);
+  return common::crc32(os.str());
+}
+
+// Pinned from the trainer as it was before the fused step and the
+// multi-row kernels: a change to either that moves one trained bit fails
+// here, in either table, at any thread count.
+constexpr std::uint32_t kGoldenScalarCrc = 0x84e5bbba;
+constexpr std::uint32_t kGoldenAvx2Crc = 0xf6b62224;
+
+TEST(GoldenBytes, ScalarTrainedModelCrcIsPinned) {
+  ModeGuard guard;
+  for (const std::size_t threads : {1u, 4u}) {
+    EXPECT_EQ(trained_model_crc(common::SimdMode::kScalar, threads), kGoldenScalarCrc)
+        << threads << " threads";
+  }
+}
+
+TEST(GoldenBytes, Avx2TrainedModelCrcIsPinned) {
+  if (gnn::avx2_kernels() == nullptr) GTEST_SKIP() << "host or build lacks AVX2+FMA";
+  ModeGuard guard;
+  for (const std::size_t threads : {1u, 4u}) {
+    EXPECT_EQ(trained_model_crc(common::SimdMode::kAvx2, threads), kGoldenAvx2Crc)
+        << threads << " threads";
   }
 }
 

@@ -11,7 +11,11 @@
 //                           thread_speedup_skipped = 1.
 //   muxlink-bench kernels   single-core kernel microbench: subgraph
 //                           extraction (arena vs naive), propagate, matmuls
-//                           (naive / blocked / dispatched), tanh and Adam.
+//                           (naive / blocked / dispatched), tanh and Adam;
+//                           the 1-D conv / dense stack's per-call loops vs
+//                           dot_rows / axpy_rows at the DGCNN's shapes; and
+//                           the serial reduce + Adam vs the fused
+//                           Dgcnn::step (the one figure run at N threads).
 //                           Gate: extract_speedup >= 1.5, plus per resolved
 //                           ISA: avx2 at_b_accum >= 4, tanh >= 2, adam >=
 //                           1.8 (dispatched); scalar blocked at_b_accum >= 1.5.
@@ -91,6 +95,8 @@ constexpr std::size_t kSpeedupFloorThreads = 4;
 constexpr double kWarmSpeedupFloor = 5.0;  // serving
 constexpr int kHops = 3;                   // kernels: subgraph radius
 constexpr int kRows = 64;                  // kernels: matmul rows
+constexpr int kSortK = 45;                 // kernels: SortPooling k of the c880 attack
+constexpr std::size_t kStepSlots = 8;      // kernels: gradient slots of a 32-sample batch
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -384,6 +390,118 @@ Gates run_kernels(const Context& ctx, common::RunManifest& m) {
   m.add_result("adam_scalar_ns", 1e9 * adam_scalar_s);
   m.add_result("adam_dispatch_ns", 1e9 * adam_dispatch_s);
   m.add_result("adam_dispatch_speedup", adam_speedup);
+
+  // --- 1-D conv / dense stack: per-call loops vs multi-row kernels ------
+  // Shapes of the default DGCNN head at k = kSortK: conv1 reads k frames of
+  // cat = 97, conv2 reads (k/2 - 4) overlapping 80-wide windows of the
+  // packed 16-wide pooled rows, dense1 reads the 576-wide flattened conv2.
+  const gnn::DgcnnConfig head;
+  struct RowsShape {
+    std::string name;
+    std::size_t m, nout, n, ldx, ldw;
+  };
+  const std::size_t cat = 97;  // 32 + 32 + 32 + 1 graph-conv channels
+  const std::size_t ch1 = head.conv1d_channels1, ch2 = head.conv1d_channels2;
+  const std::size_t conv2_len = kSortK / 2 - head.conv1d_kernel2 + 1;
+  const std::size_t window = static_cast<std::size_t>(head.conv1d_kernel2) * ch1;
+  const std::size_t flat = conv2_len * ch2;
+  const RowsShape row_shapes[] = {
+      {"conv1", kSortK, ch1, cat, 100, 100},
+      {"conv2", conv2_len, ch2, window, ch1, window},
+      {"dense1", 1, static_cast<std::size_t>(head.dense_units), flat, flat, flat},
+  };
+  for (const RowsShape& sh : row_shapes) {
+    const auto x = random_vec((sh.m - 1) * sh.ldx + sh.n, rng);
+    const auto w = random_vec((sh.nout - 1) * sh.ldw + sh.n, rng);
+    const auto init = random_vec(sh.nout, rng);
+    std::vector<double> o(sh.m * sh.nout);
+    const double loop_s = time_per_call(min_s, [&](std::size_t) {
+      for (std::size_t i = 0; i < sh.m; ++i) {
+        for (std::size_t j = 0; j < sh.nout; ++j) {
+          o[i * sh.nout + j] =
+              kn.dot_acc(init[j], w.data() + j * sh.ldw, x.data() + i * sh.ldx, sh.n);
+        }
+      }
+    });
+    const double rows_s = time_per_call(min_s, [&](std::size_t) {
+      kn.dot_rows(sh.m, sh.nout, sh.n, x.data(), sh.ldx, w.data(), sh.ldw, init.data(), o.data(),
+                  sh.nout);
+    });
+    m.add_result(sh.name + "_dot_loop_ns", 1e9 * loop_s);
+    m.add_result(sh.name + "_dot_rows_ns", 1e9 * rows_s);
+    m.add_result(sh.name + "_dot_rows_speedup", rows_s > 0.0 ? loop_s / rows_s : 0.0);
+  }
+  // The backward input-gradient shapes, with half the alphas zero (ReLU /
+  // dropout): conv1 ds (k rows x 16 sources), conv2 dm (overlapping rows at
+  // stride 16), dense1 df (one row x 128 sources).
+  struct AxpyShape {
+    std::string name;
+    std::size_t nq, np, n, ldx, ldy;
+  };
+  const AxpyShape axpy_shapes[] = {
+      {"conv1", kSortK, ch1, cat, 100, 100},
+      {"conv2", conv2_len, ch2, window, window, ch1},
+      {"dense1", 1, static_cast<std::size_t>(head.dense_units), flat, flat, flat},
+  };
+  for (const AxpyShape& sh : axpy_shapes) {
+    const auto x = random_vec((sh.np - 1) * sh.ldx + sh.n, rng);
+    auto alpha = random_vec(sh.nq * sh.np, rng);
+    for (std::size_t i = 0; i < alpha.size(); i += 2) alpha[i] = 0.0;
+    auto y = random_vec((sh.nq - 1) * sh.ldy + sh.n, rng);
+    const double loop_s = time_per_call(min_s, [&](std::size_t) {
+      for (std::size_t q = 0; q < sh.nq; ++q) {
+        for (std::size_t p = 0; p < sh.np; ++p) {
+          const double a = alpha[q * sh.np + p];
+          if (a != 0.0) kn.axpy(a, x.data() + p * sh.ldx, y.data() + q * sh.ldy, sh.n);
+        }
+      }
+    });
+    const double rows_s = time_per_call(min_s, [&](std::size_t) {
+      kn.axpy_rows(sh.nq, sh.np, sh.n, alpha.data(), 1, sh.np, x.data(), sh.ldx, y.data(), sh.ldy);
+    });
+    m.add_result(sh.name + "_axpy_loop_ns", 1e9 * loop_s);
+    m.add_result(sh.name + "_axpy_rows_ns", 1e9 * rows_s);
+    m.add_result(sh.name + "_axpy_rows_speedup", rows_s > 0.0 ? loop_s / rows_s : 0.0);
+  }
+
+  // --- optimizer step: serial reduce + Adam vs the fused parallel step ---
+  // A 32-sample batch's kStepSlots gradient slots over the full model. The
+  // serial side is the per-slot add_gradients + zero + adam_step sequence
+  // at one thread; the fused side is Dgcnn::step at N = hardware threads.
+  // Slots are refilled every 256 calls so the Adam moments stay normal.
+  gnn::DgcnnConfig step_cfg;
+  step_cfg.sortpool_k = kSortK;
+  gnn::Dgcnn model(feat, step_cfg);
+  std::vector<std::vector<gnn::Matrix>> slots(kStepSlots, model.make_gradient_buffers());
+  std::vector<std::vector<gnn::Matrix>> slot_src = slots;
+  for (auto& slot : slot_src) {
+    for (gnn::Matrix& g : slot) g = random_matrix(g.rows, g.cols, rng);
+  }
+  const auto refill = [&](std::size_t i) {
+    if (i % 256 == 0) slots = slot_src;
+  };
+  const double step_serial_s = time_per_call(min_s, [&](std::size_t i) {
+    refill(i);
+    for (auto& slot : slots) {
+      model.add_gradients(slot);
+      for (gnn::Matrix& g : slot) g.zero();
+    }
+    model.adam_step(32);
+  });
+  const unsigned hw = std::thread::hardware_concurrency();
+  const std::size_t step_threads = hw > 0 ? hw : 1;
+  common::set_num_threads(step_threads);
+  const double step_fused_s = time_per_call(min_s, [&](std::size_t i) {
+    refill(i);
+    model.step(slots, 32);
+  });
+  common::set_num_threads(1);
+  m.add_result("step_serial_ns", 1e9 * step_serial_s);
+  m.add_result("step_fused_ns", 1e9 * step_fused_s);
+  m.add_result("step_fused_speedup", step_fused_s > 0.0 ? step_serial_s / step_fused_s : 0.0);
+  m.extra["step_threads"] = static_cast<std::int64_t>(step_threads);
+  m.extra["step_parameters"] = static_cast<std::int64_t>(model.num_parameters());
+  m.extra["sortpool_k"] = kSortK;
 
   m.extra["hops"] = kHops;
   m.extra["edges"] = static_cast<std::int64_t>(edges.size());
