@@ -40,9 +40,10 @@
 #   ./ci.sh perfbench # the repo benchmark's helper self-tests, then a short
 #                    # warm_serve run (perfbench/run.py) whose output gates
 #                    # must all pass (exit 0)
-#   ./ci.sh pipeline # `muxlink-bench pipeline` on c880: the N-thread attack
-#                    # must be bit-identical to 1 thread and, on hosts with
-#                    # >= 4 cores, at least 1.8x faster (exit 3 otherwise)
+#   ./ci.sh pipeline # `muxlink-bench pipeline` on c880, 3 runs of the 1/N
+#                    # thread pair: every run must be bit-identical and, on
+#                    # hosts with >= 4 cores, the median at least 1.8x
+#                    # faster (exit 3 otherwise)
 #
 # Build trees: build/ (Release, the same tree developers use), build-san/
 # (ASan+UBSan) and build-tsan/ (TSan, listed suites only). Benchmarks are

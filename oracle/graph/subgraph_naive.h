@@ -1,5 +1,7 @@
 // Naive reference extractor, retained as a correctness oracle and benchmark
-// baseline for the arena-based fast path in subgraph.cpp.
+// baseline for the arena-based fast path in src/graph/subgraph.cpp. It
+// lives outside the library (target mux_oracle) and is linked only by the
+// tests and muxlink-bench.
 //
 // This is the original hash-map implementation: every call allocates fresh
 // unordered_map distance/remap tables and BFS queues. It is deliberately

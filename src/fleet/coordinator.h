@@ -24,9 +24,9 @@
 //     result wins.
 //   * Degradation — when every backend is ejected (or none configured),
 //     jobs run locally in-process so a campaign always terminates.
-//   * Caps — dispatch submits in a `forwarded` envelope and waits with
-//     WAIT_RESULT long-polls; a backend that did not negotiate both caps
-//     fails the dispatch like a dead one, and the job is retried.
+//   * Dispatch — submits in a `forwarded` envelope and waits with
+//     WAIT_RESULT long-polls; a backend that refuses either fails the
+//     dispatch like a dead one, and the job is retried.
 //
 // Job priorities: campaign cells > interactive probes > bulk re-runs.
 // Completed results land in a durable ResultSpool (retention per §14).

@@ -16,13 +16,10 @@
 //     or iterate logical columns only.
 //
 // Kernel layout: the scalar matmul/matmul_at_b_accum/matmul_a_bt kernels
-// below are 4x4 register-blocked. Blocking changes only WHICH elements are
-// in flight together, never the accumulation order WITHIN an element: every
-// output element is still a single accumulator summing its k-terms in
-// ascending k, exactly like the *_naive kernels retained below. The blocked
-// and naive kernels therefore produce bit-identical results (asserted by
-// randomized tests), and no -ffast-math style reassociation is involved.
-// The AVX2 variants (gnn/simd.h) relax this to tolerance-equivalence.
+// below are plain loops. Every output element is a single accumulator
+// summing its k-terms in ascending k; they are the scalar half of the
+// dispatched kernel set (gnn/simd.h) and the oracle the AVX2 variants are
+// tested against (tolerance-equivalence, no -ffast-math reassociation).
 #pragma once
 
 #include <cassert>
@@ -170,12 +167,12 @@ struct Matrix {
   }
 };
 
-// --- naive reference kernels ------------------------------------------------
-// Retained as the correctness oracle for the blocked and AVX2 kernels (and
-// for `muxlink-bench kernels` baselines). Do not optimize these.
+// --- scalar reference kernels -----------------------------------------------
+// The scalar kernel table points at these directly, and they are the
+// correctness oracle for the AVX2 kernels. Do not optimize these.
 
 // out = a * b.
-inline void matmul_naive(const Matrix& a, const Matrix& b, Matrix& out) {
+inline void matmul(const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.cols == b.rows);
   out.resize(a.rows, b.cols);
   for (int i = 0; i < a.rows; ++i) {
@@ -191,7 +188,7 @@ inline void matmul_naive(const Matrix& a, const Matrix& b, Matrix& out) {
 }
 
 // out += a^T * b (used for weight gradients).
-inline void matmul_at_b_accum_naive(const Matrix& a, const Matrix& b, Matrix& out) {
+inline void matmul_at_b_accum(const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.rows == b.rows && out.rows == a.cols && out.cols == b.cols);
   for (int k = 0; k < a.rows; ++k) {
     const double* ak = a.row(k);
@@ -206,7 +203,7 @@ inline void matmul_at_b_accum_naive(const Matrix& a, const Matrix& b, Matrix& ou
 }
 
 // out = a * b^T.
-inline void matmul_a_bt_naive(const Matrix& a, const Matrix& b, Matrix& out) {
+inline void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
   assert(a.cols == b.cols);
   out.resize(a.rows, b.rows);
   for (int i = 0; i < a.rows; ++i) {
@@ -217,152 +214,6 @@ inline void matmul_a_bt_naive(const Matrix& a, const Matrix& b, Matrix& out) {
       double acc = 0.0;
       for (int k = 0; k < a.cols; ++k) acc += ai[k] * bj[k];
       oi[j] = acc;
-    }
-  }
-}
-
-// --- blocked scalar kernels -------------------------------------------------
-// The scalar half of the dispatched kernel set (gnn/simd.h); bit-identical
-// to the naive oracle above.
-
-inline constexpr int kMatBlock = 4;
-
-// out = a * b, 4x4 register-blocked over (i, j) with k innermost. Each of
-// the 16 accumulators sums its terms in ascending k from 0.0 — the same
-// per-element chain as matmul_naive — so results are bit-identical while the
-// a-rows and b-rows stream through cache once per tile.
-inline void matmul(const Matrix& a, const Matrix& b, Matrix& out) {
-  assert(a.cols == b.rows);
-  out.resize_uninit(a.rows, b.cols);
-  const int m = a.rows, n = b.cols, kk = a.cols;
-  for (int i0 = 0; i0 < m; i0 += kMatBlock) {
-    const int ilim = std::min(kMatBlock, m - i0);
-    for (int j0 = 0; j0 < n; j0 += kMatBlock) {
-      const int jlim = std::min(kMatBlock, n - j0);
-      if (ilim == kMatBlock && jlim == kMatBlock) {
-        double acc[kMatBlock][kMatBlock] = {};
-        const double* a0 = a.row(i0 + 0);
-        const double* a1 = a.row(i0 + 1);
-        const double* a2 = a.row(i0 + 2);
-        const double* a3 = a.row(i0 + 3);
-        for (int k = 0; k < kk; ++k) {
-          const double* bk = b.row(k) + j0;
-          const double av[kMatBlock] = {a0[k], a1[k], a2[k], a3[k]};
-          for (int ii = 0; ii < kMatBlock; ++ii) {
-            for (int jj = 0; jj < kMatBlock; ++jj) acc[ii][jj] += av[ii] * bk[jj];
-          }
-        }
-        for (int ii = 0; ii < kMatBlock; ++ii) {
-          double* oi = out.row(i0 + ii) + j0;
-          for (int jj = 0; jj < kMatBlock; ++jj) oi[jj] = acc[ii][jj];
-        }
-      } else {
-        for (int i = i0; i < i0 + ilim; ++i) {
-          const double* ai = a.row(i);
-          double* oi = out.row(i);
-          for (int j = j0; j < j0 + jlim; ++j) {
-            double acc = 0.0;
-            for (int k = 0; k < kk; ++k) acc += ai[k] * b.at(k, j);
-            oi[j] = acc;
-          }
-        }
-      }
-    }
-  }
-}
-
-// out += a^T * b, 4x4 blocked. The existing out-element is PRELOADED into
-// its accumulator and the k-terms are added in ascending k, reproducing the
-// naive kernel's ((out + t0) + t1) + ... rounding sequence exactly.
-inline void matmul_at_b_accum(const Matrix& a, const Matrix& b, Matrix& out) {
-  assert(a.rows == b.rows && out.rows == a.cols && out.cols == b.cols);
-  const int m = a.cols, n = b.cols, kk = a.rows;
-  for (int i0 = 0; i0 < m; i0 += kMatBlock) {
-    const int ilim = std::min(kMatBlock, m - i0);
-    for (int j0 = 0; j0 < n; j0 += kMatBlock) {
-      const int jlim = std::min(kMatBlock, n - j0);
-      if (ilim == kMatBlock && jlim == kMatBlock) {
-        double acc[kMatBlock][kMatBlock];
-        for (int ii = 0; ii < kMatBlock; ++ii) {
-          const double* oi = out.row(i0 + ii) + j0;
-          for (int jj = 0; jj < kMatBlock; ++jj) acc[ii][jj] = oi[jj];
-        }
-        for (int k = 0; k < kk; ++k) {
-          const double* ak = a.row(k) + i0;
-          const double* bk = b.row(k) + j0;
-          for (int ii = 0; ii < kMatBlock; ++ii) {
-            for (int jj = 0; jj < kMatBlock; ++jj) acc[ii][jj] += ak[ii] * bk[jj];
-          }
-        }
-        for (int ii = 0; ii < kMatBlock; ++ii) {
-          double* oi = out.row(i0 + ii) + j0;
-          for (int jj = 0; jj < kMatBlock; ++jj) oi[jj] = acc[ii][jj];
-        }
-      } else {
-        for (int i = i0; i < i0 + ilim; ++i) {
-          double* oi = out.row(i);
-          for (int j = j0; j < j0 + jlim; ++j) {
-            double acc = oi[j];
-            for (int k = 0; k < kk; ++k) acc += a.at(k, i) * b.at(k, j);
-            oi[j] = acc;
-          }
-        }
-      }
-    }
-  }
-}
-
-// out = a * b^T, 4x4 blocked: four a-rows against four b-rows, all
-// contiguous in k. Per-element accumulation order matches matmul_a_bt_naive.
-inline void matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) {
-  assert(a.cols == b.cols);
-  out.resize_uninit(a.rows, b.rows);
-  const int m = a.rows, n = b.rows, kk = a.cols;
-  // 2x4 tile, not 4x4: both operands stream along k here, so a full 4x4 tile
-  // (16 accumulators + 8 stream pointers) overflows the 16 XMM registers and
-  // the spills cost more than the reuse saves — the naive kernel is already
-  // register-accumulating. 8 accumulators + 6 streams fits.
-  constexpr int kRowBlock = 2;
-  for (int i0 = 0; i0 < m; i0 += kRowBlock) {
-    const int ilim = std::min(kRowBlock, m - i0);
-    for (int j0 = 0; j0 < n; j0 += kMatBlock) {
-      const int jlim = std::min(kMatBlock, n - j0);
-      if (ilim == kRowBlock && jlim == kMatBlock) {
-        double acc[kRowBlock][kMatBlock] = {};
-        const double* a0 = a.row(i0);
-        const double* a1 = a.row(i0 + 1);
-        const double* b0 = b.row(j0);
-        const double* b1 = b.row(j0 + 1);
-        const double* b2 = b.row(j0 + 2);
-        const double* b3 = b.row(j0 + 3);
-        for (int k = 0; k < kk; ++k) {
-          const double a0k = a0[k], a1k = a1[k];
-          const double b0k = b0[k], b1k = b1[k], b2k = b2[k], b3k = b3[k];
-          acc[0][0] += a0k * b0k;
-          acc[0][1] += a0k * b1k;
-          acc[0][2] += a0k * b2k;
-          acc[0][3] += a0k * b3k;
-          acc[1][0] += a1k * b0k;
-          acc[1][1] += a1k * b1k;
-          acc[1][2] += a1k * b2k;
-          acc[1][3] += a1k * b3k;
-        }
-        for (int ii = 0; ii < kRowBlock; ++ii) {
-          double* oi = out.row(i0 + ii) + j0;
-          for (int jj = 0; jj < kMatBlock; ++jj) oi[jj] = acc[ii][jj];
-        }
-      } else {
-        for (int i = i0; i < i0 + ilim; ++i) {
-          const double* ai = a.row(i);
-          double* oi = out.row(i);
-          for (int j = j0; j < j0 + jlim; ++j) {
-            const double* bj = b.row(j);
-            double acc = 0.0;
-            for (int k = 0; k < kk; ++k) acc += ai[k] * bj[k];
-            oi[j] = acc;
-          }
-        }
-      }
     }
   }
 }

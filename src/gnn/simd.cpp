@@ -11,16 +11,9 @@ namespace muxlink::gnn {
 namespace {
 
 // --- scalar kernels ---------------------------------------------------------
-// These ARE the pre-SIMD implementations: the matmuls forward to the blocked
-// kernels in matrix.h (bit-identical to the naive oracle), and the loop
-// kernels reproduce the exact expressions that used to live inline in
-// dgcnn.cpp / mlp.cpp / trainer.cpp, in the same evaluation order.
-
-void s_matmul(const Matrix& a, const Matrix& b, Matrix& out) { matmul(a, b, out); }
-void s_matmul_at_b_accum(const Matrix& a, const Matrix& b, Matrix& out) {
-  matmul_at_b_accum(a, b, out);
-}
-void s_matmul_a_bt(const Matrix& a, const Matrix& b, Matrix& out) { matmul_a_bt(a, b, out); }
+// The matmuls are the plain kernels in matrix.h; the loop kernels below
+// reproduce the exact expressions that used to live inline in dgcnn.cpp /
+// mlp.cpp / trainer.cpp, in the same evaluation order.
 
 // out = D^-1 (A+I) H with row-normalization over {i} ∪ N(i): copy own row,
 // add each CSR neighbor front to back, scale by the precomputed inverse
@@ -134,9 +127,9 @@ void s_adam_update(double* w, double* g, double* m, double* v, std::size_t n,
 constexpr KernelTable kScalarTable = {
     "scalar",
     /*vectorized=*/false,
-    s_matmul,
-    s_matmul_at_b_accum,
-    s_matmul_a_bt,
+    matmul,
+    matmul_at_b_accum,
+    matmul_a_bt,
     s_propagate,
     s_propagate_transpose,
     s_tanh_inplace,

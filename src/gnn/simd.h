@@ -5,10 +5,10 @@
 // goes through one KernelTable of function pointers, resolved once per call
 // site from common::simd_mode() and the hardware:
 //
-//   scalar : the pre-existing blocked/naive kernels (matrix.h) plus plain
-//            loops. This is the bit-exact oracle: for a fixed seed and
-//            thread count, MUXLINK_SIMD=scalar reproduces the pre-SIMD
-//            builds byte for byte (model files, keys, scores).
+//   scalar : the plain matmul kernels (matrix.h) plus plain loops. This
+//            is the bit-exact oracle: for a fixed seed and thread count,
+//            MUXLINK_SIMD=scalar reproduces the pre-SIMD builds byte for
+//            byte (model files, keys, scores).
 //   avx2   : 256-bit AVX2+FMA variants (simd_avx2.cpp, compiled with
 //            -mavx2 -mfma in its own TU and registered only when both the
 //            compiler and the CPU support it).

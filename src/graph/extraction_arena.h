@@ -1,10 +1,10 @@
 // Per-thread scratch arena for enclosing-subgraph extraction.
 //
-// The naive extractor (retained in subgraph_naive.h as a correctness oracle)
-// allocates fresh unordered_maps and queues for every target link; with
-// thousands of links per circuit that is the dominant cost of the sampling
-// stage. The arena replaces every per-link container with flat arrays sized
-// once to the circuit:
+// The naive extractor (oracle/graph/subgraph_naive.h, a correctness oracle
+// outside the library) allocates fresh unordered_maps and queues for every
+// target link; with thousands of links per circuit that is the dominant
+// cost of the sampling stage. The arena replaces every per-link container
+// with flat arrays sized once to the circuit:
 //
 //   * visited/dist arrays are EPOCH-STAMPED: an entry is valid only when its
 //     stamp equals the arena's current epoch, so "clearing" between links is

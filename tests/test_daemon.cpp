@@ -665,20 +665,17 @@ TEST_F(DaemonE2E, TcpLoopbackRoundTrip) {
   server.stop();
 }
 
-// --- caps, long-poll and forwarded envelopes (DESIGN.md §14) ----------------
+// --- long-poll and forwarded envelopes (DESIGN.md §14) ----------------------
 
-TEST_F(DaemonE2E, CapsNegotiationWaitResultAndForwardedSubmit) {
+TEST_F(DaemonE2E, ForwardedSubmitAndWaitResultMatchInProcessRun) {
   DaemonOptions dopts;
-  dopts.socket_path = socket_path("caps");
+  dopts.socket_path = socket_path("forwarded");
   dopts.workers = 1;
-  dopts.spool_dir = (tmp_ / "caps-spool").string();
+  dopts.spool_dir = (tmp_ / "forwarded-spool").string();
   DaemonServer server(dopts);
   server.start();
 
   DaemonClient client(client_options("unix:" + dopts.socket_path));
-  EXPECT_TRUE(client.has_cap("wait_result"));
-  EXPECT_TRUE(client.has_cap("forwarded"));
-  EXPECT_FALSE(client.has_cap("no_such_cap"));
 
   // A forwarded SUBMIT carries provenance in the envelope and the spec in
   // "spec"; the result is byte-identical to a plain in-process run.
@@ -723,46 +720,58 @@ TEST_F(DaemonE2E, WaitResultDeadlineReturnsNonTerminalStateForReissue) {
   server.stop();
 }
 
-TEST_F(DaemonE2E, V1PeerWithoutCapsIsServedByPollingAndRefusedNewMessages) {
+TEST_F(DaemonE2E, PlainHelloPeerIsServedWaitResultAndForwardedSubmit) {
   DaemonOptions dopts;
-  dopts.socket_path = socket_path("v1peer");
+  dopts.socket_path = socket_path("plainhello");
   dopts.workers = 1;
   DaemonServer server(dopts);
   server.start();
 
-  // A hand-rolled peer that offers no caps is still served plain SUBMIT
-  // and STATUS, but the server refuses the cap-gated WAIT_RESULT and
-  // forwarded SUBMIT with BAD_REQUEST, not silence.
-  const int fd = connect_to(parse_address("unix:" + dopts.socket_path));
-  const auto request = [&](MsgType type, const std::string& payload) {
+  const auto expect_reply = [](int fd, MsgType type, const std::string& payload, MsgType want) {
     write_frame(fd, type, payload);
-    return read_frame(fd, kDefaultMaxFrameBytes, 5000);
+    const auto reply = read_frame(fd, kDefaultMaxFrameBytes, 5000);
+    EXPECT_TRUE(reply.has_value());
+    if (!reply) return common::Json::object();
+    EXPECT_EQ(reply->type, want) << reply->payload;
+    return parse_payload(*reply);
   };
-  const auto hello = request(MsgType::kHello, "{\"versions\":[1]}");
-  ASSERT_TRUE(hello.has_value());
-  ASSERT_EQ(hello->type, MsgType::kHelloOk);
-  // HELLO_OK without offered caps must not echo a caps list.
-  EXPECT_FALSE(parse_payload(*hello).contains("caps"));
 
+  // A hand-rolled peer that sends only {"versions":[1]} gets WAIT_RESULT
+  // and the forwarded SUBMIT envelope: neither needs anything from HELLO.
+  const int fd = connect_to(parse_address("unix:" + dopts.socket_path));
+  const common::Json hello = expect_reply(fd, MsgType::kHello, "{\"versions\":[1]}",
+                                          MsgType::kHelloOk);
+  EXPECT_FALSE(hello.contains("caps"));
   const std::string spec = small_job(1).to_json().dump();
-  const auto submitted = request(MsgType::kSubmit, spec);
-  ASSERT_TRUE(submitted.has_value());
-  ASSERT_EQ(submitted->type, MsgType::kSubmitOk);
-  const std::string id = parse_payload(*submitted).string_or("job_id", "");
+  const std::string id =
+      expect_reply(fd, MsgType::kSubmit, "{\"spec\":" + spec + ",\"forwarded\":{}}",
+                   MsgType::kSubmitOk)
+          .string_or("job_id", "");
   ASSERT_FALSE(id.empty());
-  const auto status = request(MsgType::kStatus, "{\"job_id\":\"" + id + "\"}");
-  ASSERT_TRUE(status.has_value());
-  EXPECT_EQ(status->type, MsgType::kStatusOk);
+  std::string state;
+  while (state.empty() || state == "QUEUED" || state == "RUNNING") {
+    state = expect_reply(fd, MsgType::kWaitResult, "{\"job_id\":\"" + id + "\"}",
+                         MsgType::kWaitResultOk)
+                .string_or("state", "?");
+  }
+  EXPECT_EQ(state, "DONE");
 
-  const auto expect_bad_request = [&](MsgType type, const std::string& payload) {
-    const auto err = request(type, payload);
-    ASSERT_TRUE(err.has_value());
-    EXPECT_EQ(err->type, MsgType::kError);
-    EXPECT_EQ(parse_payload(*err).int_or("code", 0), static_cast<int>(ErrorCode::kBadRequest));
-  };
-  expect_bad_request(MsgType::kWaitResult, "{\"job_id\":\"" + id + "\",\"timeout_ms\":1}");
-  expect_bad_request(MsgType::kSubmit, "{\"spec\":" + spec + ",\"forwarded\":{}}");
+  // An envelope whose "spec" is not an object is still BAD_REQUEST.
+  const common::Json err = expect_reply(fd, MsgType::kSubmit, "{\"spec\":1,\"forwarded\":{}}",
+                                        MsgType::kError);
+  EXPECT_EQ(err.int_or("code", 0), static_cast<int>(ErrorCode::kBadRequest));
   ::close(fd);
+
+  // A peer that still offers a "caps" list is ignored, not refused.
+  const int capped = connect_to(parse_address("unix:" + dopts.socket_path));
+  const common::Json capped_hello =
+      expect_reply(capped, MsgType::kHello, "{\"versions\":[1],\"caps\":[\"wait_result\"]}",
+                   MsgType::kHelloOk);
+  EXPECT_FALSE(capped_hello.contains("caps"));
+  ::close(capped);
+
+  const common::Json stats = DaemonClient(client_options("unix:" + dopts.socket_path)).stats();
+  EXPECT_EQ(stats.int_or("jobs_forwarded", 0), 1);
   server.stop();
 }
 

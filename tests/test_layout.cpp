@@ -1,11 +1,10 @@
 // Layout-equivalence tests for the CSR/arena fast paths.
 //
-// The CSR CircuitGraph/Subgraph layout, the epoch-stamped extraction arena,
-// and the 4x4 register-blocked matmul kernels all promise BIT-IDENTICAL
-// results to the naive reference implementations they replaced (retained in
-// graph/subgraph_naive.h and the *_naive kernels in gnn/matrix.h). These
-// tests enforce that promise on randomized circuits and matrices, including
-// the degenerate shapes the blocking tails must handle.
+// The CSR CircuitGraph/Subgraph layout and the epoch-stamped extraction
+// arena promise BIT-IDENTICAL results to the naive reference extractor they
+// replaced (kept as an oracle in oracle/graph/subgraph_naive.h). These tests
+// enforce that promise on randomized circuits, and check the Matrix layout
+// contract (aligned rows, zero pads, resize_uninit) the kernels rely on.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -14,6 +13,7 @@
 #include "circuitgen/generator.h"
 #include "gnn/dgcnn.h"
 #include "gnn/matrix.h"
+#include "gnn/simd.h"
 #include "graph/circuit_graph.h"
 #include "graph/extraction_arena.h"
 #include "graph/sampling.h"
@@ -195,12 +195,11 @@ TEST(DrnlLabel, ExtractedLabelsRespectTheBound) {
 namespace muxlink::gnn {
 namespace {
 
-Matrix random_matrix(int r, int c, std::mt19937_64& rng, double sparsity = 0.0) {
+Matrix random_matrix(int r, int c, std::mt19937_64& rng) {
   Matrix m(r, c);
   std::uniform_real_distribution<double> u(-2.0, 2.0);
-  std::uniform_real_distribution<double> unit(0.0, 1.0);
   for (int i = 0; i < r; ++i) {
-    for (int j = 0; j < c; ++j) m.at(i, j) = unit(rng) < sparsity ? 0.0 : u(rng);
+    for (int j = 0; j < c; ++j) m.at(i, j) = u(rng);
   }
   return m;
 }
@@ -215,70 +214,27 @@ void expect_bits_equal(const Matrix& a, const Matrix& b) {
   }
 }
 
-// Shapes covering empty, 1x1, sub-block, exact-block, tall, wide, and the
-// DGCNN's real (n x feat) * (feat x 32) shapes.
-struct Shape {
-  int m, k, n;
-};
-const Shape kShapes[] = {{0, 0, 0}, {1, 1, 1}, {2, 3, 2},  {4, 4, 4},   {5, 7, 3},
-                         {3, 2, 9}, {8, 1, 8}, {1, 16, 1}, {37, 46, 32}, {64, 32, 1}};
-
-TEST(BlockedKernels, MatmulMatchesNaiveBitForBit) {
-  std::mt19937_64 rng(7);
-  for (const Shape& s : kShapes) {
-    for (double sparsity : {0.0, 0.6}) {
-      const Matrix a = random_matrix(s.m, s.k, rng, sparsity);
-      const Matrix b = random_matrix(s.k, s.n, rng);
-      Matrix fast, naive;
-      matmul(a, b, fast);
-      matmul_naive(a, b, naive);
-      expect_bits_equal(fast, naive);
-    }
-  }
-}
-
-TEST(BlockedKernels, MatmulAtBAccumMatchesNaiveBitForBit) {
-  std::mt19937_64 rng(8);
-  for (const Shape& s : kShapes) {
-    for (double sparsity : {0.0, 0.6}) {
-      const Matrix a = random_matrix(s.m, s.k, rng, sparsity);  // out = a^T * b
-      const Matrix b = random_matrix(s.m, s.n, rng);
-      // Accumulation starts from a shared nonzero state so the preload path
-      // is exercised, not just the zero-start path.
-      Matrix fast = random_matrix(s.k, s.n, rng);
-      Matrix naive = fast;
-      matmul_at_b_accum(a, b, fast);
-      matmul_at_b_accum_naive(a, b, naive);
-      expect_bits_equal(fast, naive);
-    }
-  }
-}
-
-TEST(BlockedKernels, MatmulABtMatchesNaiveBitForBit) {
-  std::mt19937_64 rng(9);
-  for (const Shape& s : kShapes) {
-    const Matrix a = random_matrix(s.m, s.k, rng);
-    const Matrix b = random_matrix(s.n, s.k, rng);
-    Matrix fast, naive;
-    matmul_a_bt(a, b, fast);
-    matmul_a_bt_naive(a, b, naive);
-    expect_bits_equal(fast, naive);
-  }
-}
-
 TEST(BlockedKernels, OutputsAreFullyOverwrittenDespiteUninitResize) {
-  // Poison the output with a larger garbage-filled shape, then shrink into
-  // it: every element of the result must come from the kernel, not the
-  // previous contents (this is the resize_uninit contract).
+  // The dispatched matmul and a_bt (register-blocked in the AVX2 table)
+  // write their output through resize_uninit. Poison the output with a
+  // larger garbage-filled shape, then shrink into it: every element of the
+  // result must come from the kernel, not the previous contents.
+  const KernelTable& kn = kernels();
   std::mt19937_64 rng(10);
-  Matrix fast(50, 50);
-  for (double& x : fast.data) x = 1e300;
   const Matrix a = random_matrix(6, 5, rng);
   const Matrix b = random_matrix(5, 7, rng);
-  Matrix naive;
-  matmul(a, b, fast);
-  matmul_naive(a, b, naive);
-  expect_bits_equal(fast, naive);
+  const Matrix bt = random_matrix(7, 5, rng);
+  Matrix poisoned(50, 50), fresh;
+  for (double& x : poisoned.data) x = 1e300;
+  kn.matmul(a, b, poisoned);
+  kn.matmul(a, b, fresh);
+  expect_bits_equal(poisoned, fresh);
+
+  Matrix poisoned_bt(50, 50), fresh_bt;
+  for (double& x : poisoned_bt.data) x = 1e300;
+  kn.matmul_a_bt(a, bt, poisoned_bt);
+  kn.matmul_a_bt(a, bt, fresh_bt);
+  expect_bits_equal(poisoned_bt, fresh_bt);
 }
 
 TEST(MatrixResize, UninitKeepsShapeAndGrowsZeroed) {

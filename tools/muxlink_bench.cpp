@@ -4,21 +4,24 @@
 // gates fails. Registered in CMake but NOT in ctest: these are timing runs.
 //
 //   muxlink-bench pipeline  the attack at 1 and N threads (N = hardware
-//                           threads): per-stage times and thread_speedup.
-//                           Gate: N-thread keys and scores bit-identical to
-//                           1 thread; thread_speedup >= 1.8 when N >= 4. On
-//                           a 1-core host the N-thread run is skipped and
-//                           thread_speedup_skipped = 1.
-//   muxlink-bench kernels   single-core kernel microbench: subgraph
-//                           extraction (arena vs naive), propagate, matmuls
-//                           (naive / blocked / dispatched), tanh and Adam;
-//                           the 1-D conv / dense stack's per-call loops vs
-//                           dot_rows / axpy_rows at the DGCNN's shapes; and
-//                           the serial reduce + Adam vs the fused
-//                           Dgcnn::step (the one figure run at N threads).
-//                           Gate: extract_speedup >= 1.5, plus per resolved
-//                           ISA: avx2 at_b_accum >= 4, tanh >= 2, adam >=
-//                           1.8 (dispatched); scalar blocked at_b_accum >= 1.5.
+//                           threads), the pair run 3 times: median per-stage
+//                           times and thread_speedup. Gate: every run's keys
+//                           and scores bit-identical; median thread_speedup
+//                           >= 1.8 when N >= 4. On a 1-core host the N-thread
+//                           runs are skipped and thread_speedup_skipped = 1.
+//   muxlink-bench kernels   single-core kernel microbench: a 64-pattern
+//                           simulator block, one synth::cleanup pass,
+//                           subgraph extraction at h = 1..4 (arena) and at
+//                           h = 3 (naive oracle), propagate, matmuls (scalar
+//                           vs dispatched), tanh and Adam; the 1-D conv /
+//                           dense stack's per-call loops vs dot_rows /
+//                           axpy_rows at the DGCNN's shapes; and the serial
+//                           reduce + Adam vs the fused Dgcnn::step (the one
+//                           figure run at N threads). Each figure is the
+//                           median of 5 timed repeats after a warm-up.
+//                           Gate: extract_speedup >= 1.5, plus on avx2:
+//                           at_b_accum >= 4, tanh >= 2, adam >= 1.8
+//                           (dispatched over scalar).
 //   muxlink-bench serving   cold train, zoo-served warm rerun, and a rerun
 //                           with the score cache cleared (DESIGN.md §11).
 //                           Gate: all three bit-identical, both reruns
@@ -35,7 +38,7 @@
 //   --circuit c880 --report F                   every leg
 //   --seed 1 --key-bits 32 --links 2000         pipeline, serving, daemon,
 //   --epochs E                                  fleet (E = 20, 12 served)
-//   --min-ms 300                                kernels: time per figure
+//   --min-ms 300                                kernels: timed ms per figure
 //   --jobs 6 --distinct 2 --workers W           daemon, fleet
 //   --clients 3                                 daemon (W = 4)
 //   --backends 2                                fleet (W = 2)
@@ -49,6 +52,8 @@
 #include <stdlib.h>
 
 #include <cerrno>
+#include <algorithm>
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <cstring>
@@ -81,6 +86,8 @@
 #include "muxlink/attack.h"
 #include "muxlink/job.h"
 #include "netlist/bench_io.h"
+#include "sim/simulator.h"
+#include "synth/synthesis.h"
 #include "tools/cli_args.h"
 #include "zoo/registry.h"
 
@@ -90,8 +97,10 @@ using namespace muxlink;
 using Clock = std::chrono::steady_clock;
 using Gates = std::vector<std::string>;  // one message per failed gate
 
-constexpr double kSpeedupFloor = 1.8;  // pipeline, at >= 4 threads
+constexpr double kSpeedupFloor = 1.8;  // pipeline, median, at >= 4 threads
 constexpr std::size_t kSpeedupFloorThreads = 4;
+constexpr int kPipelineRuns = 3;       // pipeline: 1-thread/N-thread pairs
+constexpr int kRepeats = 5;            // kernels: timed repeats per figure
 constexpr double kWarmSpeedupFloor = 5.0;  // serving
 constexpr int kHops = 3;                   // kernels: subgraph radius
 constexpr int kRows = 64;                  // kernels: matmul rows
@@ -100,6 +109,11 @@ constexpr std::size_t kStepSlots = 8;      // kernels: gradient slots of a 32-sa
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
 }
 
 // Flag values; parse_params holds the defaults.
@@ -195,27 +209,49 @@ Gates run_pipeline(const Context& ctx, common::RunManifest& m) {
   const bool skip_threads = hw <= 1;
   const core::MuxLinkOptions opts = attack_options(ctx.p);
 
-  const auto base = run_attack(ctx.circuit, opts, 1);
+  // The pair runs kPipelineRuns times, so one run on a noisy host can
+  // neither fail nor pass the floor; stages and speedup are medians.
+  std::vector<core::MuxLinkResult> base, fast;
+  for (int r = 0; r < kPipelineRuns; ++r) {
+    base.push_back(run_attack(ctx.circuit, opts, 1));
+    if (!skip_threads) fast.push_back(run_attack(ctx.circuit, opts, threads));
+  }
+  const auto add_stages = [&](const std::vector<core::MuxLinkResult>& runs,
+                              const std::string& suffix) {
+    const auto stage = [&](double core::MuxLinkResult::*field) {
+      std::vector<double> v;
+      for (const auto& r : runs) v.push_back(r.*field);
+      return median(v);
+    };
+    m.add_stage("sample" + suffix, stage(&core::MuxLinkResult::sample_seconds));
+    m.add_stage("train" + suffix, stage(&core::MuxLinkResult::train_seconds));
+    m.add_stage("score" + suffix, stage(&core::MuxLinkResult::score_seconds));
+    m.add_stage("total" + suffix, stage(&core::MuxLinkResult::total_seconds));
+  };
   m.threads = static_cast<int>(skip_threads ? 1 : threads);
-  m.add_stage("sample_1", base.sample_seconds);
-  m.add_stage("train_1", base.train_seconds);
-  m.add_stage("score_1", base.score_seconds);
-  m.add_stage("total_1", base.total_seconds);
+  m.extra["runs"] = kPipelineRuns;
+  add_stages(base, "_1");
 
   Gates gates;
+  bool identical = true;
+  for (int r = 0; r < kPipelineRuns; ++r) {
+    identical = identical && same_scores(base[0], base[r]);
+    if (!skip_threads) identical = identical && same_scores(base[0], fast[r]);
+  }
+  if (!identical) gates.push_back("the runs' keys and scores are not bit-identical");
   if (!skip_threads) {
-    const auto fast = run_attack(ctx.circuit, opts, threads);
-    const bool identical = same_scores(base, fast);
-    const double speedup = fast.total_seconds > 0.0 ? base.total_seconds / fast.total_seconds : 0.0;
-    m.add_stage("sample_n", fast.sample_seconds);
-    m.add_stage("train_n", fast.train_seconds);
-    m.add_stage("score_n", fast.score_seconds);
-    m.add_stage("total_n", fast.total_seconds);
+    std::vector<double> speedups;
+    for (int r = 0; r < kPipelineRuns; ++r) {
+      speedups.push_back(fast[r].total_seconds > 0.0
+                             ? base[r].total_seconds / fast[r].total_seconds
+                             : 0.0);
+    }
+    const double speedup = median(speedups);
+    add_stages(fast, "_n");
     m.add_result("thread_speedup", speedup);
     m.add_result("bit_identical", identical ? 1.0 : 0.0);
-    if (!identical) gates.push_back("N-thread run is not bit-identical to 1 thread");
     if (threads >= kSpeedupFloorThreads && speedup < kSpeedupFloor) {
-      gates.push_back("thread_speedup " + std::to_string(speedup) + " at " +
+      gates.push_back("median thread_speedup " + std::to_string(speedup) + " at " +
                       std::to_string(threads) + " threads is below the 1.8x floor");
     }
   } else {
@@ -223,25 +259,51 @@ Gates run_pipeline(const Context& ctx, common::RunManifest& m) {
         std::string("single hardware core: no parallel speedup to measure");
   }
   m.add_result("thread_speedup_skipped", skip_threads ? 1.0 : 0.0);
-  m.add_result("training_links", static_cast<double>(base.training_links));
+  m.add_result("training_links", static_cast<double>(base[0].training_links));
   return gates;
 }
 
 // --- kernels ---------------------------------------------------------------
 
-// Runs `fn` in doubling batches until it has consumed at least `min_seconds`
-// of wall clock, then returns seconds per call.
-template <typename Fn>
-double time_per_call(double min_seconds, Fn&& fn) {
-  std::size_t batch = 1;
-  for (;;) {
+// Times kernel figures. Each figure is the median seconds per call of
+// kRepeats timed repeats. An untimed warm-up sizes the repeat first: it
+// doubles the batch until one batch takes min_seconds / kRepeats, so a
+// figure costs about 1.4x min_seconds. Tracks the largest per-figure
+// (max - min) / median spread for the manifest.
+class Timer {
+ public:
+  explicit Timer(double min_seconds) : min_seconds_(min_seconds) {}
+
+  template <typename Fn>
+  double per_call(Fn&& fn) {
+    const double target = min_seconds_ / kRepeats;
+    std::size_t batch = 1;
+    for (;;) {
+      const double elapsed = run_batch(fn, batch);
+      if (elapsed >= target) break;
+      batch = elapsed <= 0.0 ? batch * 8 : batch * 2;
+    }
+    std::array<double, kRepeats> t;
+    for (double& x : t) x = run_batch(fn, batch) / static_cast<double>(batch);
+    std::sort(t.begin(), t.end());
+    const double mid = t[kRepeats / 2];
+    if (mid > 0.0) max_spread_ = std::max(max_spread_, (t.back() - t.front()) / mid);
+    return mid;
+  }
+
+  double max_spread() const noexcept { return max_spread_; }
+
+ private:
+  template <typename Fn>
+  static double run_batch(Fn& fn, std::size_t batch) {
     const auto t0 = Clock::now();
     for (std::size_t i = 0; i < batch; ++i) fn(i);
-    const double elapsed = seconds_since(t0);
-    if (elapsed >= min_seconds) return elapsed / static_cast<double>(batch);
-    batch = elapsed <= 0.0 ? batch * 8 : batch * 2;
+    return seconds_since(t0);
   }
-}
+
+  double min_seconds_;
+  double max_spread_ = 0.0;
+};
 
 gnn::Matrix random_matrix(int r, int c, std::mt19937_64& rng) {
   gnn::Matrix m(r, c);
@@ -258,30 +320,24 @@ gnn::AlignedVec random_vec(std::size_t n, std::mt19937_64& rng) {
   return v;
 }
 
-// One matmul shape timed three ways; records <name>_{blocked,naive,dispatch}_ns
-// and the two speedups over the naive oracle. Returns {blocked, dispatch}
-// speedups for the floors.
-template <typename Blocked, typename Naive, typename Dispatch>
-std::pair<double, double> time_matmul(common::RunManifest& m, const std::string& name,
-                                      double min_s, Blocked&& blocked, Naive&& naive,
-                                      Dispatch&& dispatch) {
-  const double blocked_ns = 1e9 * time_per_call(min_s, blocked);
-  const double naive_ns = 1e9 * time_per_call(min_s, naive);
-  const double dispatch_ns = 1e9 * time_per_call(min_s, dispatch);
-  const double speedup = blocked_ns > 0.0 ? naive_ns / blocked_ns : 0.0;
-  const double dispatch_speedup = dispatch_ns > 0.0 ? naive_ns / dispatch_ns : 0.0;
-  m.add_result(name + "_blocked_ns", blocked_ns);
-  m.add_result(name + "_naive_ns", naive_ns);
-  m.add_result(name + "_speedup", speedup);
+// One matmul shape timed on the scalar and the dispatched table; records
+// <name>_{scalar,dispatch}_ns and the dispatch speedup, which it returns.
+template <typename Scalar, typename Dispatch>
+double time_matmul(common::RunManifest& m, Timer& timer, const std::string& name,
+                   Scalar&& scalar, Dispatch&& dispatch) {
+  const double scalar_ns = 1e9 * timer.per_call(scalar);
+  const double dispatch_ns = 1e9 * timer.per_call(dispatch);
+  const double speedup = dispatch_ns > 0.0 ? scalar_ns / dispatch_ns : 0.0;
+  m.add_result(name + "_scalar_ns", scalar_ns);
   m.add_result(name + "_dispatch_ns", dispatch_ns);
-  m.add_result(name + "_dispatch_speedup", dispatch_speedup);
-  return {speedup, dispatch_speedup};
+  m.add_result(name + "_dispatch_speedup", speedup);
+  return speedup;
 }
 
 // Single-threaded on purpose: per-core kernel numbers, orthogonal to the
 // thread scaling the pipeline leg measures.
 Gates run_kernels(const Context& ctx, common::RunManifest& m) {
-  const double min_s = ctx.p.min_seconds;
+  Timer timer(ctx.p.min_seconds);
   common::set_num_threads(1);
   m.threads = 1;
 
@@ -294,16 +350,39 @@ Gates run_kernels(const Context& ctx, common::RunManifest& m) {
   graph::SubgraphOptions sgopts;
   sgopts.hops = kHops;
 
-  // --- extraction: arena fast path vs naive reference --------------------
   // volatile sink defeats dead-code elimination without touching results.
   volatile std::size_t sink = 0;
-  const double fast_s = time_per_call(min_s, [&](std::size_t i) {
-    sink = sink + graph::extract_enclosing_subgraph(g, edges[i % edges.size()], sgopts).num_nodes();
-  });
-  const double naive_s = time_per_call(min_s, [&](std::size_t i) {
-    sink = sink +
-           graph::extract_enclosing_subgraph_naive(g, edges[i % edges.size()], sgopts).num_nodes();
-  });
+
+  // --- simulation and cleanup on the whole circuit -----------------------
+  const sim::Simulator simulator(ctx.circuit);
+  sim::PatternGenerator patterns(ctx.p.seed);
+  const auto block = patterns.next_block(ctx.circuit.inputs().size());
+  m.add_result("sim_block_ns", 1e9 * timer.per_call([&](std::size_t) {
+                                 sink = sink + simulator.run(block).size();
+                               }));
+  m.add_result("cleanup_ns", 1e9 * timer.per_call([&](std::size_t) {
+                               sink = sink + synth::cleanup(ctx.circuit).num_gates();
+                             }));
+
+  // --- extraction: arena fast path at h = 1..4 (Fig. 10's runtime knob),
+  // and the naive reference at h = kHops -----------------------------------
+  const auto extract_s = [&](int hops, bool naive) {
+    graph::SubgraphOptions opts;
+    opts.hops = hops;
+    return timer.per_call([&](std::size_t i) {
+      const graph::Link e = edges[i % edges.size()];
+      sink = sink + (naive ? graph::extract_enclosing_subgraph_naive(g, e, opts)
+                           : graph::extract_enclosing_subgraph(g, e, opts))
+                        .num_nodes();
+    });
+  };
+  double fast_s = 0.0;
+  for (int h = 1; h <= 4; ++h) {
+    const double sec = extract_s(h, false);
+    m.add_result("extract_h" + std::to_string(h) + "_ns", 1e9 * sec);
+    if (h == kHops) fast_s = sec;
+  }
+  const double naive_s = extract_s(kHops, true);
   const double fast_lps = 1.0 / fast_s;
   const double naive_lps = 1.0 / naive_s;
   m.add_result("extract_links_per_sec", fast_lps);
@@ -317,11 +396,11 @@ Gates run_kernels(const Context& ctx, common::RunManifest& m) {
   std::mt19937_64 rng(ctx.p.seed);
   const gnn::Matrix h32 = random_matrix(n, 32, rng);
   gnn::Matrix prop_out;
-  m.add_result("propagate_ns", 1e9 * time_per_call(min_s, [&](std::size_t) {
+  m.add_result("propagate_ns", 1e9 * timer.per_call([&](std::size_t) {
                                  kn.propagate(sample, h32, prop_out);
                                }));
   gnn::Matrix propt_out;
-  m.add_result("propagate_transpose_ns", 1e9 * time_per_call(min_s, [&](std::size_t) {
+  m.add_result("propagate_transpose_ns", 1e9 * timer.per_call([&](std::size_t) {
                                            kn.propagate_transpose(sample, h32, propt_out);
                                          }));
 
@@ -332,22 +411,19 @@ Gates run_kernels(const Context& ctx, common::RunManifest& m) {
   const gnn::Matrix w_fwd = random_matrix(feat, 32, rng);
   gnn::Matrix out;
   time_matmul(
-      m, "matmul", min_s, [&](std::size_t) { gnn::matmul(a_fwd, w_fwd, out); },
-      [&](std::size_t) { gnn::matmul_naive(a_fwd, w_fwd, out); },
+      m, timer, "matmul", [&](std::size_t) { sc.matmul(a_fwd, w_fwd, out); },
       [&](std::size_t) { kn.matmul(a_fwd, w_fwd, out); });
 
   // Weight gradient: (rows x feat)^T * (rows x 32) accumulated into feat x 32.
   const gnn::Matrix b_grad = random_matrix(kRows, 32, rng);
   gnn::Matrix acc(feat, 32);
-  const auto [atb_speedup, atb_dispatch_speedup] = time_matmul(
-      m, "at_b_accum", min_s, [&](std::size_t) { gnn::matmul_at_b_accum(a_fwd, b_grad, acc); },
-      [&](std::size_t) { gnn::matmul_at_b_accum_naive(a_fwd, b_grad, acc); },
+  const double atb_speedup = time_matmul(
+      m, timer, "at_b_accum", [&](std::size_t) { sc.matmul_at_b_accum(a_fwd, b_grad, acc); },
       [&](std::size_t) { kn.matmul_at_b_accum(a_fwd, b_grad, acc); });
 
   // Input gradient: (rows x 32) * (feat x 32)^T.
   time_matmul(
-      m, "a_bt", min_s, [&](std::size_t) { gnn::matmul_a_bt(b_grad, w_fwd, out); },
-      [&](std::size_t) { gnn::matmul_a_bt_naive(b_grad, w_fwd, out); },
+      m, timer, "a_bt", [&](std::size_t) { sc.matmul_a_bt(b_grad, w_fwd, out); },
       [&](std::size_t) { kn.matmul_a_bt(b_grad, w_fwd, out); });
 
   // --- element-wise training loops, dispatched vs scalar -----------------
@@ -358,11 +434,11 @@ Gates run_kernels(const Context& ctx, common::RunManifest& m) {
   const std::size_t bytes = elems * sizeof(double);
   const gnn::AlignedVec tanh_src = random_vec(elems, rng);
   gnn::AlignedVec buf(elems);
-  const double tanh_scalar_s = time_per_call(min_s, [&](std::size_t) {
+  const double tanh_scalar_s = timer.per_call([&](std::size_t) {
     std::memcpy(buf.data(), tanh_src.data(), bytes);
     sc.tanh_inplace(buf.data(), elems);
   });
-  const double tanh_dispatch_s = time_per_call(min_s, [&](std::size_t) {
+  const double tanh_dispatch_s = timer.per_call([&](std::size_t) {
     std::memcpy(buf.data(), tanh_src.data(), bytes);
     kn.tanh_inplace(buf.data(), elems);
   });
@@ -374,11 +450,11 @@ Gates run_kernels(const Context& ctx, common::RunManifest& m) {
   const gnn::AlignedVec grad_src = random_vec(elems, rng);
   gnn::AlignedVec w = random_vec(elems, rng);
   gnn::AlignedVec gr(elems), am(elems), av(elems);
-  const double adam_scalar_s = time_per_call(min_s, [&](std::size_t i) {
+  const double adam_scalar_s = timer.per_call([&](std::size_t i) {
     if (i % 256 == 0) std::memcpy(gr.data(), grad_src.data(), bytes);
     sc.adam_update(w.data(), gr.data(), am.data(), av.data(), elems, 1e-3, 0.9, 0.999, 1.0);
   });
-  const double adam_dispatch_s = time_per_call(min_s, [&](std::size_t i) {
+  const double adam_dispatch_s = timer.per_call([&](std::size_t i) {
     if (i % 256 == 0) std::memcpy(gr.data(), grad_src.data(), bytes);
     kn.adam_update(w.data(), gr.data(), am.data(), av.data(), elems, 1e-3, 0.9, 0.999, 1.0);
   });
@@ -415,7 +491,7 @@ Gates run_kernels(const Context& ctx, common::RunManifest& m) {
     const auto w = random_vec((sh.nout - 1) * sh.ldw + sh.n, rng);
     const auto init = random_vec(sh.nout, rng);
     std::vector<double> o(sh.m * sh.nout);
-    const double loop_s = time_per_call(min_s, [&](std::size_t) {
+    const double loop_s = timer.per_call([&](std::size_t) {
       for (std::size_t i = 0; i < sh.m; ++i) {
         for (std::size_t j = 0; j < sh.nout; ++j) {
           o[i * sh.nout + j] =
@@ -423,7 +499,7 @@ Gates run_kernels(const Context& ctx, common::RunManifest& m) {
         }
       }
     });
-    const double rows_s = time_per_call(min_s, [&](std::size_t) {
+    const double rows_s = timer.per_call([&](std::size_t) {
       kn.dot_rows(sh.m, sh.nout, sh.n, x.data(), sh.ldx, w.data(), sh.ldw, init.data(), o.data(),
                   sh.nout);
     });
@@ -448,7 +524,7 @@ Gates run_kernels(const Context& ctx, common::RunManifest& m) {
     auto alpha = random_vec(sh.nq * sh.np, rng);
     for (std::size_t i = 0; i < alpha.size(); i += 2) alpha[i] = 0.0;
     auto y = random_vec((sh.nq - 1) * sh.ldy + sh.n, rng);
-    const double loop_s = time_per_call(min_s, [&](std::size_t) {
+    const double loop_s = timer.per_call([&](std::size_t) {
       for (std::size_t q = 0; q < sh.nq; ++q) {
         for (std::size_t p = 0; p < sh.np; ++p) {
           const double a = alpha[q * sh.np + p];
@@ -456,7 +532,7 @@ Gates run_kernels(const Context& ctx, common::RunManifest& m) {
         }
       }
     });
-    const double rows_s = time_per_call(min_s, [&](std::size_t) {
+    const double rows_s = timer.per_call([&](std::size_t) {
       kn.axpy_rows(sh.nq, sh.np, sh.n, alpha.data(), 1, sh.np, x.data(), sh.ldx, y.data(), sh.ldy);
     });
     m.add_result(sh.name + "_axpy_loop_ns", 1e9 * loop_s);
@@ -480,7 +556,7 @@ Gates run_kernels(const Context& ctx, common::RunManifest& m) {
   const auto refill = [&](std::size_t i) {
     if (i % 256 == 0) slots = slot_src;
   };
-  const double step_serial_s = time_per_call(min_s, [&](std::size_t i) {
+  const double step_serial_s = timer.per_call([&](std::size_t i) {
     refill(i);
     for (auto& slot : slots) {
       model.add_gradients(slot);
@@ -491,7 +567,7 @@ Gates run_kernels(const Context& ctx, common::RunManifest& m) {
   const unsigned hw = std::thread::hardware_concurrency();
   const std::size_t step_threads = hw > 0 ? hw : 1;
   common::set_num_threads(step_threads);
-  const double step_fused_s = time_per_call(min_s, [&](std::size_t i) {
+  const double step_fused_s = timer.per_call([&](std::size_t i) {
     refill(i);
     model.step(slots, 32);
   });
@@ -510,17 +586,17 @@ Gates run_kernels(const Context& ctx, common::RunManifest& m) {
   m.extra["matmul_feat"] = feat;
   m.extra["elementwise_elems"] = static_cast<std::int64_t>(elems);
   m.extra["dispatch_isa"] = std::string(kn.isa);
+  m.extra["repeats"] = kRepeats;
+  m.add_result("max_spread", timer.max_spread());
 
   // The adam floor sits below the >= 2x measured in BENCH_kernels.json to
   // leave headroom for timer noise on shared hosts (it is sqrt/div-bound).
   Gates gates;
   if (fast_lps < 1.5 * naive_lps) gates.push_back("extract_speedup < 1.5");
   if (std::string_view(kn.isa) == "avx2") {
-    if (atb_dispatch_speedup < 4.0) gates.push_back("avx2 at_b_accum_dispatch_speedup < 4.0");
+    if (atb_speedup < 4.0) gates.push_back("avx2 at_b_accum_dispatch_speedup < 4.0");
     if (tanh_speedup < 2.0) gates.push_back("avx2 tanh_dispatch_speedup < 2.0");
     if (adam_speedup < 1.8) gates.push_back("avx2 adam_dispatch_speedup < 1.8");
-  } else if (atb_speedup < 1.5) {
-    gates.push_back("scalar at_b_accum_speedup < 1.5");
   }
   return gates;
 }
