@@ -29,9 +29,11 @@
 #                    # restart drill, a SIGTERM drain check, the concurrent
 #                    # `muxlink-bench daemon` byte-identity gate, and the
 #                    # MXRPC1 suite under ASan+UBSan
-#   ./ci.sh fleet    # fleet-coordinator gate: a 2-backend chaos drill (one
-#                    # muxlinkd SIGKILLed and restarted mid-campaign) whose
-#                    # aggregate must be byte-identical to the no-fleet run,
+#   ./ci.sh fleet    # fleet-coordinator gate: a muxlink-coord job over two
+#                    # backends whose manifest and spool entry must match
+#                    # `muxlink submit` byte for byte, a 2-backend chaos drill
+#                    # (one muxlinkd SIGKILLed and restarted mid-campaign)
+#                    # whose aggregate must be byte-identical to the no-fleet run,
 #                    # the `muxlink-bench fleet` fan-out byte-identity gate,
 #                    # and the fleet + daemon suites under ASan+UBSan
 #   ./ci.sh tsan     # ThreadSanitizer build of the concurrent layers' suites:
@@ -468,6 +470,22 @@ run_fleet() {
   build/tools/muxlink-coord --backends "unix:$d/b1.sock,unix:$d/b2.sock" --probe \
     | grep -c HEALTHY | grep -q 2 \
     || { echo "coordinator probe did not see both backends healthy" >&2; rm -rf "$d"; return 1; }
+
+  # Job mode over the same two backends: the manifest muxlink-coord writes
+  # and the copy in its spool must both be byte-identical to the same job
+  # sent straight to one daemon with `muxlink submit`.
+  "$cli" gen c432 --out "$d/c.bench" >/dev/null
+  "$cli" lock "$d/c.bench" --scheme dmux --key-bits 16 --seed 1 \
+    --out "$d/l.bench" --key-out "$d/k.txt" >/dev/null
+  build/tools/muxlink-coord --backends "unix:$d/b1.sock,unix:$d/b2.sock" \
+    --epochs 3 --links 300 --seed 1 --scheme dmux \
+    --out-dir "$d/coord" --spool "$d/coord-spool" "$d/l.bench" >/dev/null
+  "$cli" submit "$d/l.bench" --epochs 3 --links 300 --seed 1 --scheme dmux \
+    --daemon "unix:$d/b2.sock" --wait --report "$d/submit.json" >/dev/null
+  cmp "$d/coord/f1.json" "$d/submit.json" \
+    || { echo "muxlink-coord manifest differs from muxlink submit" >&2; rm -rf "$d"; return 1; }
+  cmp "$d/coord-spool/f1.json" "$d/submit.json" \
+    || { echo "muxlink-coord spool entry differs from muxlink submit" >&2; rm -rf "$d"; return 1; }
   (
     sleep 1
     kill -KILL "$dpid1" 2>/dev/null || true

@@ -1,6 +1,6 @@
 // muxlinkd server core (DESIGN.md §13): a long-lived coordinator that
-// accepts MXRPC1 connections, queues AttackJobSpecs, and runs them on a
-// bounded pool of compute workers. The split mirrors the classic
+// accepts MXRPC1 connections and serves them from a JobTable whose compute
+// workers run each AttackJobSpec in-process. The split mirrors the classic
 // coordinator/agent design: connection handlers only touch the job table
 // (cheap, lock-guarded bookkeeping); compute workers only run jobs (minutes
 // of CPU); neither ever blocks the other.
@@ -12,7 +12,8 @@
 //     queue — the server-side half of the connection pool: N slow clients
 //     occupy N handlers, the (N+1)-th waits in the accepted-fd queue
 //     instead of spawning an unbounded thread;
-//   * `workers` compute threads pulling job ids from the bounded job queue.
+//   * `workers` compute threads of the JobTable (job_table.h), each running
+//     run_attack_job on the jobs of its bounded FIFO queue.
 //
 // Determinism contract (the acceptance criterion of PR 9): a job's result
 // manifest depends only on its AttackJobSpec — never on the worker count,
@@ -28,7 +29,6 @@
 
 #include "common/json.h"
 #include "daemon/protocol.h"
-#include "muxlink/job.h"
 
 namespace muxlink::daemon {
 
@@ -52,17 +52,6 @@ struct DaemonOptions {
   int wait_result_cap_ms = 5000;
   std::string zoo_dir;  // substituted into zoo jobs that name no directory
 };
-
-// Job lifecycle (DESIGN.md §13 state machine):
-//   QUEUED -> RUNNING -> DONE | FAILED | TIMEOUT
-//   QUEUED -> CANCELLED            (client CANCEL or daemon drain)
-// Timeouts are cooperative: a queued job whose deadline passed is never
-// started; a running job is not preempted (that would forfeit the
-// determinism contract) but reports TIMEOUT and discards its manifest when
-// it finishes past the deadline.
-enum class JobState { kQueued, kRunning, kDone, kFailed, kCancelled, kTimeout };
-const char* to_string(JobState s) noexcept;
-bool is_terminal(JobState s) noexcept;
 
 class DaemonServer {
  public:
@@ -92,8 +81,6 @@ class DaemonServer {
 
   // The daemon.* stats snapshot served to STATS requests.
   common::Json stats_json() const;
-
-  const DaemonOptions& options() const noexcept;
 
  private:
   struct Impl;

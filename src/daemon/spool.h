@@ -70,7 +70,6 @@ class ResultSpool {
   void gc();
 
   SpoolStats stats() const;
-  const SpoolOptions& options() const { return opts_; }
 
  private:
   void gc_locked();

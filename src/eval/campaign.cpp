@@ -15,7 +15,6 @@
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
-#include "fleet/coordinator.h"
 #include "locking/resolve.h"
 #include "locking/schemes.h"
 #include "muxlink/job.h"
@@ -216,21 +215,13 @@ CampaignResult run_campaign(const CampaignOptions& opts) {
   // aggregate bytes cannot depend on which path ran (campaign.h).
   std::unique_ptr<fleet::FleetCoordinator> coord;
   CellExec exec;
-  if (opts.fleet_backends.empty()) {
+  if (opts.fleet.backends.empty()) {
     exec = [](const core::AttackJobSpec& jspec) { return core::run_attack_job(jspec); };
   } else {
-    fleet::FleetOptions fopts;
-    fopts.backends = opts.fleet_backends;
-    fopts.spool_dir = opts.fleet_spool_dir;
-    fopts.hedge_after_ms = opts.fleet_hedge_after_ms;
-    fopts.max_attempts_per_job = opts.fleet_max_attempts;
-    fopts.retry_budget = opts.fleet_retry_budget;
-    fopts.dispatch_timeout_ms = opts.fleet_dispatch_timeout_ms;
-    fopts.allow_local_fallback = opts.fleet_local_fallback;
-    coord = std::make_unique<fleet::FleetCoordinator>(fopts);
+    coord = std::make_unique<fleet::FleetCoordinator>(opts.fleet);
     coord->start();
     exec = [&coord](const core::AttackJobSpec& jspec) {
-      const fleet::FleetJobResult r = coord->run(jspec, fleet::Priority::kCampaign);
+      const fleet::FleetJobResult r = coord->run(jspec);
       if (!r.ok) throw std::runtime_error("fleet cell failed: " + r.error);
       core::AttackJobOutcome out;
       out.manifest = r.manifest;

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "common/run_manifest.h"
+#include "fleet/coordinator.h"
 
 namespace muxlink::eval {
 
@@ -50,19 +51,13 @@ struct CampaignOptions {
 
   std::string out_dir = "campaign";
 
-  // Fleet mode (DESIGN.md §14): non-empty = each cell's attack runs as an
-  // AttackJobSpec dispatched through the fleet coordinator to these
-  // muxlinkd backends; AC/PC/KPA/HD are computed locally from the returned
-  // key, so the aggregate stays byte-identical to a no-fleet run (both
-  // paths execute the same spec; the PR 9 job contract makes the result
-  // location-invariant).
-  std::vector<std::string> fleet_backends;
-  std::string fleet_spool_dir;     // durable results spool ("" = none)
-  int fleet_hedge_after_ms = 0;    // straggler hedging (0 = off)
-  int fleet_max_attempts = 4;
-  int fleet_retry_budget = 64;
-  long fleet_dispatch_timeout_ms = 0;  // per-dispatch failover deadline (0 = none)
-  bool fleet_local_fallback = true;    // degrade to in-process when all ejected
+  // Fleet mode (DESIGN.md §14): with fleet.backends non-empty, each cell's
+  // attack runs as an AttackJobSpec dispatched through the fleet
+  // coordinator to those muxlinkd backends; AC/PC/KPA/HD are computed
+  // locally from the returned key, so the aggregate stays byte-identical to
+  // a no-fleet run (both paths execute the same spec; the job contract of
+  // DESIGN.md §13 makes the result location-invariant).
+  fleet::FleetOptions fleet;
 };
 
 struct CampaignCell {

@@ -4,15 +4,15 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
-#include <deque>
-#include <map>
+#include <functional>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "common/fault.h"
 #include "common/metrics.h"
 #include "daemon/client.h"
-#include "daemon/spool.h"
+#include "daemon/job_table.h"
 
 namespace muxlink::fleet {
 
@@ -71,30 +71,17 @@ BackendHealth breaker_next(BackendHealth current, bool probe_ok, int consecutive
 
 namespace {
 
-struct FleetJob {
-  std::string id;
-  core::AttackJobSpec spec;
-  Priority prio = Priority::kInteractive;
-  std::uint64_t seq = 0;
+// Seed of the backoff jitter stream (timing only, never results).
+constexpr std::uint64_t kBackoffSeed = 0x6d786c666c656574ull;
 
-  enum class State { kQueued, kRunning, kDone, kFailed };
-  State state = State::kQueued;
-  Clock::time_point not_before{};      // backoff gate while queued
-  Clock::time_point running_since{};   // first dispatch of the current attempt
-  int attempts = 0;                    // dispatches started (incl. hedges)
-  int inflight = 0;                    // concurrent dispatches (1, or 2 when hedged)
-  bool hedged = false;
-
-  // Terminal result.
-  common::Json manifest;
-  std::string manifest_text;  // dump() of the winning manifest, for duplicate compare
-  std::string key_string;
-  std::string backend;
-  std::string error;
-};
+long ms_until(Clock::time_point t) {
+  return std::chrono::duration_cast<std::chrono::milliseconds>(t - Clock::now()).count();
+}
 
 struct BackendState {
   std::string address;
+  std::unique_ptr<daemon::DaemonClient> client;  // used only by the dispatch holding `busy`
+  bool busy = false;                             // one dispatch at a time
   BackendHealth health = BackendHealth::kHealthy;  // optimistic until proven otherwise
   int consecutive_failures = 0;
   std::uint64_t dispatched = 0;
@@ -105,32 +92,35 @@ struct BackendState {
   std::uint64_t readmissions = 0;
 };
 
+// One attempt's dispatch and its hedge: the first DONE is published, a later
+// one is a byte-compared duplicate.
+struct Race {
+  std::mutex m;
+  int attempts = 0;  // the job's dispatches so far, this attempt's hedge included
+  bool won = false;
+  std::string manifest_text;  // dump() of the winning manifest
+};
+
+daemon::JobTable::Config table_config(const FleetOptions& opts) {
+  return {.name = "fleet",
+          .id_prefix = "f",
+          .workers = std::max<int>(1, static_cast<int>(opts.backends.size())),
+          .spool = {opts.spool_dir, opts.spool_max_bytes, opts.spool_ttl_seconds}};
+}
+
 }  // namespace
 
 struct FleetCoordinator::Impl {
-  FleetOptions opts;
+  const FleetOptions opts;
 
-  mutable std::mutex m;
-  std::condition_variable queue_cv;  // runners + local fallback wait here
-  std::condition_variable done_cv;   // wait() blocks here
-  std::map<std::string, std::shared_ptr<FleetJob>> jobs;
-  std::vector<std::shared_ptr<FleetJob>> order;  // submit order (seq-sorted)
-  std::vector<BackendState> backends;
-  std::uint64_t next_id = 1;
+  mutable std::mutex m;  // guards backends' mutable fields and retry_budget_left
+  std::condition_variable backend_cv;  // a backend freed or changed health, or stop
+  std::vector<BackendState> backends;  // fixed after construction
   int retry_budget_left = 0;
-  bool started = false;
-  std::atomic<bool> stopping{false};
-
-  std::vector<std::thread> runners;  // one per backend
+  std::atomic<bool> stopping{false};   // written under m
   std::thread heartbeat_thread;
-  std::thread local_thread;
 
-  std::unique_ptr<daemon::ResultSpool> spool;
-
-  // fleet.* lifetime counters.
-  std::atomic<std::uint64_t> jobs_submitted{0};
-  std::atomic<std::uint64_t> jobs_completed{0};
-  std::atomic<std::uint64_t> jobs_failed{0};
+  // fleet.* lifetime counters beside the table's jobs_* counters.
   std::atomic<std::uint64_t> retries{0};
   std::atomic<std::uint64_t> hedges{0};
   std::atomic<std::uint64_t> duplicate_results{0};
@@ -139,247 +129,266 @@ struct FleetCoordinator::Impl {
   std::atomic<std::uint64_t> dispatch_failures{0};
   std::atomic<std::uint64_t> heartbeats{0};
 
+  daemon::JobTable table;  // last: its workers use everything above
+
+  explicit Impl(FleetOptions o)
+      : opts(std::move(o)),
+        retry_budget_left(std::max(0, opts.retry_budget)),
+        table(table_config(opts),
+              [this](const std::string& id, const core::AttackJobSpec& spec) {
+                return run_job(id, spec);
+              }) {
+    for (const std::string& a : opts.backends) {
+      backends.push_back({.address = a,
+                          .client = std::make_unique<daemon::DaemonClient>(daemon::ClientOptions{
+                              .address = a,
+                              .connect_attempts = std::max(1, opts.connect_attempts),
+                              .io_timeout_ms = opts.io_timeout_ms})});
+    }
+  }
+
   // --- lifecycle -----------------------------------------------------------
 
   void start() {
-    if (started) throw std::runtime_error("fleet coordinator already started");
-    started = true;
-    retry_budget_left = std::max(0, opts.retry_budget);
-    for (const std::string& a : opts.backends) {
-      BackendState b;
-      b.address = a;
-      backends.push_back(std::move(b));
-    }
-    if (!opts.spool_dir.empty()) {
-      daemon::SpoolOptions sopts;
-      sopts.dir = opts.spool_dir;
-      sopts.max_bytes = opts.spool_max_bytes;
-      sopts.ttl_seconds = opts.spool_ttl_seconds;
-      spool = std::make_unique<daemon::ResultSpool>(std::move(sopts));
-    }
-    for (std::size_t i = 0; i < backends.size(); ++i) {
-      runners.emplace_back([this, i] { runner_loop(i); });
-    }
+    table.start();
     if (!backends.empty()) {
       heartbeat_thread = std::thread([this] { heartbeat_loop(); });
-    }
-    if (opts.allow_local_fallback || backends.empty()) {
-      local_thread = std::thread([this] { local_loop(); });
     }
   }
 
   void stop() {
-    if (!started || stopping.load()) {
+    {
+      std::lock_guard<std::mutex> lock(m);
+      if (stopping) return;
       stopping = true;
-      return;
     }
-    stopping = true;
-    queue_cv.notify_all();
-    done_cv.notify_all();
-    for (auto& t : runners) t.join();
-    runners.clear();
+    backend_cv.notify_all();
+    table.stop();
     if (heartbeat_thread.joinable()) heartbeat_thread.join();
-    if (local_thread.joinable()) local_thread.join();
   }
 
-  // --- submit / wait -------------------------------------------------------
+  // --- the table's runner --------------------------------------------------
 
-  std::string submit(const core::AttackJobSpec& spec, Priority prio) {
-    auto job = std::make_shared<FleetJob>();
-    job->spec = spec;
-    job->prio = prio;
-    {
-      std::lock_guard<std::mutex> lock(m);
-      job->seq = next_id;
-      job->id = "f" + std::to_string(next_id++);
-      job->not_before = Clock::now();
-      jobs.emplace(job->id, job);
-      order.push_back(job);
-    }
-    ++jobs_submitted;
-    MUXLINK_COUNTER_ADD("fleet.jobs_submitted", 1);
-    queue_cv.notify_all();
-    return job->id;
-  }
-
-  FleetJobResult wait(const std::string& job_id) {
-    std::shared_ptr<FleetJob> job;
-    {
-      std::lock_guard<std::mutex> lock(m);
-      auto it = jobs.find(job_id);
-      if (it == jobs.end()) throw std::invalid_argument("unknown fleet job id '" + job_id + "'");
-      job = it->second;
-    }
-    FleetJobResult out;
-    {
-      std::unique_lock<std::mutex> lock(m);
-      done_cv.wait(lock, [&] {
-        return stopping.load() || job->state == FleetJob::State::kDone ||
-               job->state == FleetJob::State::kFailed;
-      });
-      out.job_id = job->id;
-      out.attempts = job->attempts;
-      out.backend = job->backend;
-      if (job->state == FleetJob::State::kDone) {
-        out.ok = true;
-        out.manifest = job->manifest;
-        out.key_string = job->key_string;
+  // Carries one job from its first dispatch to a result: a backend when one
+  // is free and HEALTHY, in-process when none can ever be, and retries with
+  // backoff in between. A DONE from a backend is published by settle().
+  daemon::JobResult run_job(const std::string& id, const core::AttackJobSpec& spec) {
+    daemon::JobResult out;
+    for (;;) {
+      std::string error;
+      const std::optional<std::size_t> idx = acquire();
+      if (idx) {
+        if (attempt(*idx, id, spec, out, &error)) return out;
+      } else if (stopping) {
+        out.error = "fleet coordinator stopped";
+        return out;
+      } else if (!backends.empty() && !opts.allow_local_fallback) {
+        out.error = "all backends ejected and local fallback disabled after " +
+                    std::to_string(out.attempts) + " attempt(s)";
+        return out;
       } else {
-        out.ok = false;
-        out.error = job->state == FleetJob::State::kFailed ? job->error : "coordinator stopped";
+        // Graceful degradation: every backend is gone, so the job runs in
+        // this process. Same spec, same deterministic manifest.
+        ++out.attempts;
+        ++local_runs;
+        MUXLINK_COUNTER_ADD("fleet.local_runs", 1);
+        try {
+          core::AttackJobOutcome outcome = core::run_attack_job(spec);
+          out.manifest = std::move(outcome.manifest);
+          out.key_string = std::move(outcome.key_string);
+          out.backend = "local";
+          return out;
+        } catch (const std::exception& e) {
+          error = std::string("local execution failed: ") + e.what();
+        }
+      }
+      if (!backoff(id, out, error)) return out;
+    }
+  }
+
+  // Blocks until a HEALTHY backend is free and takes it. nullopt when there
+  // are no backends, every one is EJECTED, or the fleet stops.
+  std::optional<std::size_t> acquire() {
+    std::unique_lock<std::mutex> lock(m);
+    for (;;) {
+      std::size_t idx = 0;
+      if (stopping || all_ejected_locked()) return std::nullopt;
+      if (take_free_locked(&idx)) return idx;
+      backend_cv.wait(lock);
+    }
+  }
+
+  bool take_free_locked(std::size_t* idx) {
+    for (std::size_t i = 0; i < backends.size(); ++i) {
+      BackendState& b = backends[i];
+      if (b.health == BackendHealth::kHealthy && !b.busy) {
+        b.busy = true;
+        ++b.dispatched;
+        *idx = i;
+        return true;
       }
     }
-    // Retrieval releases the spool pin: a fetched result may now be GC'd.
-    if (out.ok && spool) spool->mark_fetched(out.job_id);
-    return out;
+    return false;
   }
 
-  // --- queue claims --------------------------------------------------------
+  bool all_ejected_locked() const {
+    for (const BackendState& b : backends) {
+      if (b.health != BackendHealth::kEjected) return false;
+    }
+    return true;
+  }
 
-  // Lowest (priority, seq) queued job whose backoff gate has passed.
-  // Caller holds `m`.
-  std::shared_ptr<FleetJob> claim_locked(Clock::time_point now) {
-    std::shared_ptr<FleetJob> best;
-    for (const auto& job : order) {
-      if (job->state != FleetJob::State::kQueued || now < job->not_before) continue;
-      if (!best || std::make_pair(static_cast<int>(job->prio), job->seq) <
-                       std::make_pair(static_cast<int>(best->prio), best->seq)) {
-        best = job;
+  // Decides a failed attempt: false (out.error set) when the per-job attempt
+  // cap or the fleet-wide retry budget is spent, else waits out the
+  // decorrelated-jitter backoff (woken early by stop()) and returns true.
+  bool backoff(const std::string& id, daemon::JobResult& out, const std::string& error) {
+    std::unique_lock<std::mutex> lock(m);
+    const bool budget_ok = retry_budget_left > 0;
+    if (stopping || !budget_ok || out.attempts >= std::max(1, opts.max_attempts_per_job)) {
+      out.error = error + (budget_ok ? "" : " [retry budget exhausted]") + " after " +
+                  std::to_string(out.attempts) + " attempt(s)";
+      return false;
+    }
+    --retry_budget_left;
+    ++retries;
+    MUXLINK_COUNTER_ADD("fleet.retries", 1);
+    const int delay = decorrelated_backoff_ms(kBackoffSeed, fnv1a64(id), out.attempts,
+                                              opts.backoff_base_ms, opts.backoff_cap_ms);
+    backend_cv.wait_for(lock, std::chrono::milliseconds(delay), [&] { return stopping.load(); });
+    return true;
+  }
+
+  // One attempt on backend `idx` (taken by acquire), hedged onto a second
+  // free backend once it runs past hedge_after_ms (at most one hedge, never
+  // past the attempt cap). Returns whether a DONE was published, after both
+  // dispatches have finished; *error is set otherwise.
+  bool attempt(std::size_t idx, const std::string& id, const core::AttackJobSpec& spec,
+               daemon::JobResult& out, std::string* error) {
+    Race race;
+    race.attempts = ++out.attempts;
+    std::thread hedge;
+    std::string hedge_error;
+    // Returns false while no backend is free to take the hedge.
+    const std::function<bool()> launch_hedge = [&] {
+      std::size_t second = 0;
+      {
+        std::lock_guard<std::mutex> lock(m);
+        if (out.attempts >= std::max(1, opts.max_attempts_per_job)) return true;
+        if (!take_free_locked(&second)) return false;
       }
-    }
-    if (best) {
-      best->state = FleetJob::State::kRunning;
-      best->running_since = now;
-      ++best->attempts;
-      ++best->inflight;
-    }
-    return best;
-  }
-
-  // Idle-runner poll granularity: 100ms normally, but an aggressive hedge
-  // threshold needs a matching tick or short jobs finish inside the sleep
-  // and the hedge window is never observed.
-  int idle_tick_ms() const {
-    if (opts.hedge_after_ms > 0 && opts.hedge_after_ms < 100) {
-      return std::max(1, opts.hedge_after_ms);
-    }
-    return 100;
-  }
-
-  // A running, not-yet-hedged job past the hedge threshold. Caller holds `m`.
-  std::shared_ptr<FleetJob> claim_hedge_locked(Clock::time_point now) {
-    if (opts.hedge_after_ms <= 0) return nullptr;
-    const auto threshold = std::chrono::milliseconds(opts.hedge_after_ms);
-    for (const auto& job : order) {
-      if (job->state != FleetJob::State::kRunning || job->hedged || job->inflight != 1) continue;
-      if (job->attempts >= std::max(1, opts.max_attempts_per_job)) continue;
-      if (now - job->running_since < threshold) continue;
-      job->hedged = true;
-      ++job->attempts;
-      ++job->inflight;
+      int n = 0;
+      {
+        std::lock_guard<std::mutex> lock(race.m);
+        n = out.attempts = ++race.attempts;
+      }
       ++hedges;
       MUXLINK_COUNTER_ADD("fleet.hedges", 1);
-      return job;
-    }
-    return nullptr;
+      hedge = std::thread([&, second, n] {
+        hedge_error = dispatch(second, id, spec, n, race, nullptr);
+      });
+      return true;
+    };
+    *error = dispatch(idx, id, spec, race.attempts, race,
+                      opts.hedge_after_ms > 0 ? &launch_hedge : nullptr);
+    if (hedge.joinable()) hedge.join();
+    if (error->empty()) *error = hedge_error;
+    return race.won;
   }
 
-  // --- result delivery / retry ---------------------------------------------
-
-  void deliver(const std::shared_ptr<FleetJob>& job, common::Json manifest,
-               std::string key_string, const std::string& backend) {
-    std::string spool_payload;
-    {
-      std::lock_guard<std::mutex> lock(m);
-      --job->inflight;
-      if (job->state == FleetJob::State::kDone || job->state == FleetJob::State::kFailed) {
-        // Late duplicate (hedge partner finished first). The determinism
-        // contract says both executions produced the same bytes — check it.
-        ++duplicate_results;
-        MUXLINK_COUNTER_ADD("fleet.duplicate_results", 1);
-        if (job->state == FleetJob::State::kDone && manifest.dump() != job->manifest_text) {
-          ++determinism_violations;
-          MUXLINK_COUNTER_ADD("fleet.determinism_violations", 1);
+  // One dispatch to backend `idx`, freed here: a forwarded SUBMIT, then
+  // WAIT_RESULT long-polls sliced against the failover deadline and, while
+  // `hedge` is set, the hedge threshold. A DONE result settles the race.
+  // Returns "" on DONE, else the error naming the backend.
+  std::string dispatch(std::size_t idx, const std::string& id, const core::AttackJobSpec& spec,
+                       int attempt_no, Race& race, const std::function<bool()>* hedge) {
+    BackendState& b = backends[idx];
+    try {
+      MUXLINK_FAULT_POINT("fleet.dispatch");
+      common::Json prov = common::Json::object();
+      prov["coordinator"] = "muxlink-coord";
+      prov["origin_id"] = id;
+      prov["attempt"] = attempt_no;
+      const std::string remote_id = b.client->submit_forwarded(spec, prov);
+      const Clock::time_point t0 = Clock::now();
+      const bool capped = opts.dispatch_timeout_ms > 0;
+      const Clock::time_point deadline = t0 + std::chrono::milliseconds(opts.dispatch_timeout_ms);
+      Clock::time_point hedge_at = t0 + std::chrono::milliseconds(opts.hedge_after_ms);
+      for (;;) {
+        if (stopping) throw daemon::DaemonError("fleet coordinator stopped");
+        if (hedge && Clock::now() >= hedge_at) {
+          if ((*hedge)()) {
+            hedge = nullptr;
+          } else {
+            hedge_at = Clock::now() + std::chrono::milliseconds(100);  // look again later
+          }
         }
-        return;
+        long slice = 0;  // 0 = server-side cap
+        if (capped) {
+          slice = ms_until(deadline);
+          if (slice <= 0) throw daemon::DaemonError("dispatch deadline exceeded");
+        }
+        if (hedge) {
+          const long h = std::max(1L, ms_until(hedge_at));
+          slice = slice > 0 ? std::min(slice, h) : h;
+        }
+        const common::Json reply = b.client->wait_result(remote_id, slice);
+        const std::string state = reply.string_or("state", "");
+        if (state == "QUEUED" || state == "RUNNING") {
+          if (capped && Clock::now() >= deadline) {
+            try {
+              b.client->cancel(remote_id);  // best effort: free the backend's queue slot
+            } catch (const std::exception&) {
+            }
+            throw daemon::DaemonError("dispatch deadline exceeded");
+          }
+          continue;
+        }
+        if (state != "DONE") {
+          throw daemon::DaemonError("backend reported " + state + ": " +
+                                    reply.string_or("error", "(no detail)"));
+        }
+        const common::Json* manifest = reply.find("manifest");
+        if (!manifest) throw daemon::DaemonError("DONE result carried no manifest");
+        MUXLINK_FAULT_POINT("fleet.result");
+        daemon::JobResult r;
+        r.manifest = *manifest;
+        r.key_string = reply.string_or("key", "");
+        r.backend = b.address;
+        settle(race, id, std::move(r));
+        record_probe(idx, true, /*from_dispatch=*/true);
+        return "";
       }
-      job->state = FleetJob::State::kDone;
-      job->manifest = std::move(manifest);
-      job->manifest_text = job->manifest.dump();
-      job->key_string = std::move(key_string);
-      job->backend = backend;
-      spool_payload = job->manifest.dump_pretty() + "\n";
-    }
-    ++jobs_completed;
-    MUXLINK_COUNTER_ADD("fleet.jobs_completed", 1);
-    if (spool) {
-      try {
-        spool->put(job->id, spool_payload);
-      } catch (const std::exception&) {
-        MUXLINK_COUNTER_ADD("fleet.spool_errors", 1);
-      }
-    }
-    done_cv.notify_all();
-  }
-
-  void requeue_or_fail(const std::shared_ptr<FleetJob>& job, const std::string& error) {
-    bool failed = false;
-    {
-      std::lock_guard<std::mutex> lock(m);
-      --job->inflight;
-      if (job->state != FleetJob::State::kRunning) return;  // partner already resolved it
-      if (job->inflight > 0) return;  // hedge partner still in flight — let it finish
-      const bool budget_ok = retry_budget_left > 0;
-      if (job->attempts < std::max(1, opts.max_attempts_per_job) && budget_ok) {
-        --retry_budget_left;
-        const int delay = decorrelated_backoff_ms(opts.backoff_seed, fnv1a64(job->id),
-                                                  job->attempts, opts.backoff_base_ms,
-                                                  opts.backoff_cap_ms);
-        job->state = FleetJob::State::kQueued;
-        job->not_before = Clock::now() + std::chrono::milliseconds(delay);
-        job->hedged = false;
-        ++retries;
-        MUXLINK_COUNTER_ADD("fleet.retries", 1);
-      } else {
-        job->state = FleetJob::State::kFailed;
-        job->error = error + (budget_ok ? "" : " [retry budget exhausted]") + " after " +
-                     std::to_string(job->attempts) + " attempt(s)";
-        failed = true;
-      }
-    }
-    if (failed) {
-      ++jobs_failed;
-      MUXLINK_COUNTER_ADD("fleet.jobs_failed", 1);
-      done_cv.notify_all();
-    } else {
-      queue_cv.notify_all();
+    } catch (const std::exception& e) {
+      ++dispatch_failures;
+      MUXLINK_COUNTER_ADD("fleet.dispatch_failures", 1);
+      record_probe(idx, false, /*from_dispatch=*/true);
+      return std::string(e.what()) + " (backend " + b.address + ")";
     }
   }
 
-  // Heartbeat-driven terminal sweep: every queued job fails when the whole
-  // fleet is ejected and no local fallback exists to run it.
-  void fail_queued_if_all_ejected() {
-    std::size_t newly_failed = 0;
-    {
-      std::lock_guard<std::mutex> lock(m);
-      if (backends.empty() || !all_ejected_locked()) return;
-      for (const auto& job : order) {
-        if (job->state != FleetJob::State::kQueued) continue;
-        job->state = FleetJob::State::kFailed;
-        job->error = "all backends ejected and local fallback disabled after " +
-                     std::to_string(job->attempts) + " attempt(s)";
-        ++newly_failed;
+  // Publishes the race's first DONE; byte-compares any later one against it
+  // (the determinism contract says both executions produced the same bytes).
+  void settle(Race& race, const std::string& id, daemon::JobResult r) {
+    std::lock_guard<std::mutex> lock(race.m);
+    if (race.won) {
+      ++duplicate_results;
+      MUXLINK_COUNTER_ADD("fleet.duplicate_results", 1);
+      if (r.manifest.dump() != race.manifest_text) {
+        ++determinism_violations;
+        MUXLINK_COUNTER_ADD("fleet.determinism_violations", 1);
       }
+      return;
     }
-    if (newly_failed > 0) {
-      jobs_failed += newly_failed;
-      MUXLINK_COUNTER_ADD("fleet.jobs_failed", static_cast<std::int64_t>(newly_failed));
-      done_cv.notify_all();
-    }
+    race.won = true;
+    race.manifest_text = r.manifest.dump();
+    r.attempts = race.attempts;
+    table.publish(id, std::move(r));
   }
 
   // --- breaker -------------------------------------------------------------
 
+  // Feeds a heartbeat or dispatch outcome to backend `idx`'s breaker; a
+  // finished dispatch also frees the backend.
   void record_probe(std::size_t idx, bool ok, bool from_dispatch) {
     bool changed = false;
     {
@@ -387,7 +396,8 @@ struct FleetCoordinator::Impl {
       BackendState& b = backends[idx];
       b.consecutive_failures = ok ? 0 : b.consecutive_failures + 1;
       if (from_dispatch) {
-        if (!ok) ++b.dispatch_failures;
+        b.busy = false;
+        ok ? ++b.completed : ++b.dispatch_failures;
       } else {
         ok ? ++b.heartbeats_ok : ++b.heartbeats_failed;
       }
@@ -404,118 +414,7 @@ struct FleetCoordinator::Impl {
                           static_cast<double>(static_cast<int>(next)));
       }
     }
-    if (changed) queue_cv.notify_all();
-  }
-
-  bool healthy_locked(std::size_t idx) const {
-    return backends[idx].health == BackendHealth::kHealthy;
-  }
-
-  bool all_ejected_locked() const {
-    for (const BackendState& b : backends) {
-      if (b.health != BackendHealth::kEjected) return false;
-    }
-    return true;
-  }
-
-  // --- threads -------------------------------------------------------------
-
-  void runner_loop(std::size_t idx) {
-    daemon::ClientOptions copts;
-    {
-      std::lock_guard<std::mutex> lock(m);
-      copts.address = backends[idx].address;
-    }
-    copts.connect_attempts = std::max(1, opts.connect_attempts);
-    copts.io_timeout_ms = opts.io_timeout_ms;
-    daemon::DaemonClient client(copts);
-    for (;;) {
-      std::shared_ptr<FleetJob> job;
-      {
-        std::unique_lock<std::mutex> lock(m);
-        // Claim before waiting: a runner returning from a dispatch picks up
-        // queued work immediately instead of eating a full wait tick.
-        for (;;) {
-          if (stopping.load()) return;
-          if (healthy_locked(idx)) {
-            const auto now = Clock::now();
-            job = claim_locked(now);
-            if (!job) job = claim_hedge_locked(now);
-            if (job) break;
-          }
-          // Timed wait, not a pure cv wait: backoff gates (not_before) and
-          // hedge thresholds expire without anyone notifying. With hedging
-          // enabled the tick shrinks to the hedge threshold so an idle
-          // runner can't sleep through a straggler's whole window.
-          queue_cv.wait_for(lock, std::chrono::milliseconds(idle_tick_ms()));
-        }
-        ++backends[idx].dispatched;
-      }
-      dispatch_one(idx, client, job);
-    }
-  }
-
-  void dispatch_one(std::size_t idx, daemon::DaemonClient& client,
-                    const std::shared_ptr<FleetJob>& job) {
-    std::string backend_addr;
-    int attempt = 0;  // claim_hedge_locked bumps job->attempts under m
-    {
-      std::lock_guard<std::mutex> lock(m);
-      backend_addr = backends[idx].address;
-      attempt = job->attempts;
-    }
-    std::string remote_id;
-    try {
-      MUXLINK_FAULT_POINT("fleet.dispatch");
-      common::Json prov = common::Json::object();
-      prov["coordinator"] = "muxlink-coord";
-      prov["origin_id"] = job->id;
-      prov["attempt"] = attempt;
-      remote_id = client.submit_forwarded(job->spec, prov);
-      const bool capped = opts.dispatch_timeout_ms > 0;
-      const Clock::time_point deadline =
-          Clock::now() + std::chrono::milliseconds(capped ? opts.dispatch_timeout_ms : 0);
-      for (;;) {
-        if (stopping.load()) return;  // abandoned; stop() is tearing us down
-        long slice = 0;  // 0 = server-side cap
-        if (capped) {
-          slice =
-              std::chrono::duration_cast<std::chrono::milliseconds>(deadline - Clock::now()).count();
-          if (slice <= 0) throw daemon::DaemonError("dispatch deadline exceeded");
-        }
-        const common::Json reply = client.wait_result(remote_id, slice);
-        const std::string state = reply.string_or("state", "");
-        if (state == "QUEUED" || state == "RUNNING") {
-          if (capped && Clock::now() >= deadline) {
-            try {
-              client.cancel(remote_id);  // best effort: free the backend's queue slot
-            } catch (const std::exception&) {
-            }
-            throw daemon::DaemonError("dispatch deadline exceeded");
-          }
-          continue;
-        }
-        if (state != "DONE") {
-          throw daemon::DaemonError("backend reported " + state + ": " +
-                                    reply.string_or("error", "(no detail)"));
-        }
-        const common::Json* manifest = reply.find("manifest");
-        if (!manifest) throw daemon::DaemonError("DONE result carried no manifest");
-        MUXLINK_FAULT_POINT("fleet.result");
-        record_probe(idx, true, /*from_dispatch=*/true);
-        {
-          std::lock_guard<std::mutex> lock(m);
-          ++backends[idx].completed;
-        }
-        deliver(job, *manifest, reply.string_or("key", ""), backend_addr);
-        return;
-      }
-    } catch (const std::exception& e) {
-      ++dispatch_failures;
-      MUXLINK_COUNTER_ADD("fleet.dispatch_failures", 1);
-      record_probe(idx, false, /*from_dispatch=*/true);
-      requeue_or_fail(job, std::string(e.what()) + " (backend " + backend_addr + ")");
-    }
+    if (changed || from_dispatch) backend_cv.notify_all();
   }
 
   void heartbeat_loop() {
@@ -524,63 +423,25 @@ struct FleetCoordinator::Impl {
     // only a single-threaded probe order provides.
     for (;;) {
       for (std::size_t i = 0; i < backends.size(); ++i) {
-        if (stopping.load()) return;
+        if (stopping) return;
         ++heartbeats;
         MUXLINK_COUNTER_ADD("fleet.heartbeats", 1);
         bool ok = false;
         try {
           MUXLINK_FAULT_POINT("fleet.heartbeat");
-          daemon::ClientOptions copts;
-          {
-            std::lock_guard<std::mutex> lock(m);
-            copts.address = backends[i].address;
-          }
-          copts.connect_attempts = 1;
-          copts.io_timeout_ms = opts.heartbeat_timeout_ms;
-          daemon::DaemonClient probe(copts);
-          probe.stats();
+          daemon::DaemonClient({.address = backends[i].address,
+                                .connect_attempts = 1,
+                                .io_timeout_ms = opts.heartbeat_timeout_ms})
+              .stats();
           ok = true;
         } catch (const std::exception&) {
           ok = false;
         }
         record_probe(i, ok, /*from_dispatch=*/false);
       }
-      // With local fallback disabled nothing can drain the queue once the
-      // whole fleet is ejected: fail queued jobs now instead of blocking
-      // their waiters forever. Ejected backends keep being probed, so a
-      // recovery re-admits the fleet for jobs submitted afterwards.
-      if (!opts.allow_local_fallback) fail_queued_if_all_ejected();
+      const auto interval = std::chrono::milliseconds(std::max(50, opts.heartbeat_interval_ms));
       std::unique_lock<std::mutex> lock(m);
-      queue_cv.wait_for(lock, std::chrono::milliseconds(std::max(50, opts.heartbeat_interval_ms)),
-                        [&] { return stopping.load(); });
-      if (stopping.load()) return;
-    }
-  }
-
-  void local_loop() {
-    for (;;) {
-      std::shared_ptr<FleetJob> job;
-      {
-        std::unique_lock<std::mutex> lock(m);
-        for (;;) {
-          if (stopping.load()) return;
-          if (backends.empty() || all_ejected_locked()) {
-            job = claim_locked(Clock::now());
-            if (job) break;
-          }
-          queue_cv.wait_for(lock, std::chrono::milliseconds(100));
-        }
-      }
-      // Graceful degradation: every backend is gone, so the job runs in
-      // this process. Same spec, same deterministic manifest.
-      ++local_runs;
-      MUXLINK_COUNTER_ADD("fleet.local_runs", 1);
-      try {
-        core::AttackJobOutcome outcome = core::run_attack_job(job->spec);
-        deliver(job, std::move(outcome.manifest), std::move(outcome.key_string), "local");
-      } catch (const std::exception& e) {
-        requeue_or_fail(job, std::string("local execution failed: ") + e.what());
-      }
+      if (backend_cv.wait_for(lock, interval, [&] { return stopping.load(); })) return;
     }
   }
 
@@ -589,9 +450,7 @@ struct FleetCoordinator::Impl {
   common::Json stats_json() const {
     common::Json j = common::Json::object();
     j["coordinator"] = "muxlink-coord";
-    j["jobs_submitted"] = static_cast<std::int64_t>(jobs_submitted.load());
-    j["jobs_completed"] = static_cast<std::int64_t>(jobs_completed.load());
-    j["jobs_failed"] = static_cast<std::int64_t>(jobs_failed.load());
+    table.add_stats(j);
     j["retries"] = static_cast<std::int64_t>(retries.load());
     j["hedges"] = static_cast<std::int64_t>(hedges.load());
     j["duplicate_results"] = static_cast<std::int64_t>(duplicate_results.load());
@@ -617,23 +476,12 @@ struct FleetCoordinator::Impl {
       }
     }
     j["backends"] = std::move(arr);
-    if (spool) {
-      const daemon::SpoolStats s = spool->stats();
-      common::Json sj = common::Json::object();
-      sj["entries"] = static_cast<std::int64_t>(s.entries);
-      sj["bytes"] = static_cast<std::int64_t>(s.bytes);
-      sj["unfetched"] = static_cast<std::int64_t>(s.unfetched);
-      sj["gc_removed"] = static_cast<std::int64_t>(s.gc_removed);
-      sj["recovered_temps"] = static_cast<std::int64_t>(s.recovered_temps);
-      j["spool"] = sj;
-    }
     return j;
   }
 };
 
-FleetCoordinator::FleetCoordinator(FleetOptions opts) : impl_(std::make_unique<Impl>()) {
-  impl_->opts = std::move(opts);
-}
+FleetCoordinator::FleetCoordinator(FleetOptions opts)
+    : impl_(std::make_unique<Impl>(std::move(opts))) {}
 
 FleetCoordinator::~FleetCoordinator() {
   try {
@@ -645,14 +493,31 @@ FleetCoordinator::~FleetCoordinator() {
 void FleetCoordinator::start() { impl_->start(); }
 void FleetCoordinator::stop() { impl_->stop(); }
 
-std::string FleetCoordinator::submit(const core::AttackJobSpec& spec, Priority prio) {
-  return impl_->submit(spec, prio);
+std::string FleetCoordinator::submit(const core::AttackJobSpec& spec) {
+  std::string id;
+  if (impl_->table.submit(spec, &id) != daemon::Admission::kAccepted) {
+    throw std::runtime_error("fleet coordinator stopped");
+  }
+  return id;
 }
 
-FleetJobResult FleetCoordinator::wait(const std::string& job_id) { return impl_->wait(job_id); }
+FleetJobResult FleetCoordinator::wait(const std::string& job_id) {
+  std::optional<daemon::JobView> v = impl_->table.wait(job_id);
+  if (!v) throw std::invalid_argument("unknown fleet job id '" + job_id + "'");
+  FleetJobResult out;
+  out.job_id = job_id;
+  out.ok = v->state == daemon::JobState::kDone;
+  out.manifest = std::move(v->result.manifest);
+  out.key_string = std::move(v->result.key_string);
+  out.backend = std::move(v->result.backend);
+  out.attempts = v->result.attempts;
+  out.error = daemon::is_terminal(v->state) ? std::move(v->result.error)
+                                            : "fleet coordinator stopped";
+  return out;
+}
 
-FleetJobResult FleetCoordinator::run(const core::AttackJobSpec& spec, Priority prio) {
-  return impl_->wait(impl_->submit(spec, prio));
+FleetJobResult FleetCoordinator::run(const core::AttackJobSpec& spec) {
+  return wait(submit(spec));
 }
 
 BackendHealth FleetCoordinator::backend_health(const std::string& address) const {
@@ -664,6 +529,5 @@ BackendHealth FleetCoordinator::backend_health(const std::string& address) const
 }
 
 common::Json FleetCoordinator::stats_json() const { return impl_->stats_json(); }
-const FleetOptions& FleetCoordinator::options() const noexcept { return impl_->opts; }
 
 }  // namespace muxlink::fleet

@@ -10,31 +10,36 @@
 //       any state --success------------> HEALTHY
 //     Ejected backends keep being probed on the same cadence; one success
 //     re-admits them.
-//   * Retry — a failed or timed-out dispatch re-queues the job with
-//     exponential backoff + decorrelated jitter (timing only — results are
-//     deterministic, so jitter can never change bytes), bounded by a
-//     per-job attempt cap and a fleet-wide retry budget.
+//   * Retry — a failed or timed-out dispatch is retried by the same worker
+//     after exponential backoff + decorrelated jitter (timing only —
+//     results are deterministic, so jitter can never change bytes), bounded
+//     by a per-job attempt cap and a fleet-wide retry budget. The backoff
+//     wait wakes on stop().
 //   * Failover — a job in flight on a backend that dies or stalls past its
 //     dispatch deadline is re-dispatched elsewhere. Safe because the PR 9
 //     contract makes re-execution byte-identical; when a late duplicate
 //     result does arrive (hedging), the coordinator byte-compares it and
 //     counts any mismatch as a determinism violation.
 //   * Hedging — optional: a job running longer than `hedge_after_ms` may
-//     be speculatively dispatched to a second idle backend; first terminal
-//     result wins.
+//     be speculatively dispatched to a second free backend; the first DONE
+//     is published at once, and the worker then waits for the partner and
+//     byte-compares its result.
 //   * Degradation — when every backend is ejected (or none configured),
 //     jobs run locally in-process so a campaign always terminates.
 //   * Dispatch — submits in a `forwarded` envelope and waits with
 //     WAIT_RESULT long-polls; a backend that refuses either fails the
 //     dispatch like a dead one, and the job is retried.
 //
-// Job priorities: campaign cells > interactive probes > bulk re-runs.
-// Completed results land in a durable ResultSpool (retention per §14).
+// Jobs live in a daemon::JobTable (ids f1, f2, ..., FIFO, bounded like the
+// daemon's) with one worker per backend (at least one); its runner picks a
+// free HEALTHY backend and carries the job through every retry, failover
+// and hedge. Completed results land in the table's durable ResultSpool
+// (retention per §14).
 //
 // Fault sites (MUXLINK_FAULTS): `fleet.heartbeat` fires on the heartbeat
 // thread before each probe (sequential — deterministic nth-hit counting);
 // `fleet.dispatch` before a submit and `fleet.result` before a delivery
-// fire on runner threads, so deterministic counting holds only with one
+// fire on worker threads, so deterministic counting holds only with one
 // backend configured.
 #pragma once
 
@@ -48,7 +53,6 @@
 
 namespace muxlink::fleet {
 
-enum class Priority : int { kCampaign = 0, kInteractive = 1, kBulk = 2 };
 enum class BackendHealth { kHealthy, kSuspect, kEjected };
 const char* to_string(BackendHealth h) noexcept;
 
@@ -66,7 +70,6 @@ struct FleetOptions {
   int retry_budget = 64;             // fleet-wide re-dispatch allowance
   int backoff_base_ms = 25;
   int backoff_cap_ms = 2000;
-  std::uint64_t backoff_seed = 0x6d786c666c656574ull;  // jitter stream (timing only)
 
   // Dispatch behavior.
   long dispatch_timeout_ms = 0;      // per-dispatch wait before failover (0 = no cap)
@@ -102,21 +105,20 @@ class FleetCoordinator {
   void stop();
 
   // Enqueues a job; returns its coordinator id immediately.
-  std::string submit(const core::AttackJobSpec& spec, Priority prio = Priority::kInteractive);
+  std::string submit(const core::AttackJobSpec& spec);
 
-  // Blocks until the job is terminal. Throws std::invalid_argument for an
-  // unknown id.
+  // Blocks until the job is terminal and delivers its result. Throws
+  // std::invalid_argument for an unknown id, including one evicted after
+  // daemon::kRetainedDelivered later deliveries.
   FleetJobResult wait(const std::string& job_id);
 
   // submit + wait.
-  FleetJobResult run(const core::AttackJobSpec& spec, Priority prio = Priority::kInteractive);
+  FleetJobResult run(const core::AttackJobSpec& spec);
 
   BackendHealth backend_health(const std::string& address) const;
 
   // fleet.* counters + per-backend breaker snapshot.
   common::Json stats_json() const;
-
-  const FleetOptions& options() const noexcept;
 
  private:
   struct Impl;

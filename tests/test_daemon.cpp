@@ -2,7 +2,8 @@
 // round-trips, and end-to-end daemon contracts — submit/status/result/
 // cancel/stats over a real unix socket, worker-count byte-identity of
 // result manifests, graceful drain, fault-injected job failure, client
-// connect retry, cooperative timeouts, and the TCP transport.
+// connect retry, cooperative timeouts, the TCP transport, and the job
+// table's bound, counters and randomized lifecycle stress.
 //
 // Registered as a single ctest entry: most cases run real (tiny) attack
 // jobs, and the heavy budget covers the sanitized build.
@@ -15,13 +16,20 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <iterator>
+#include <mutex>
+#include <random>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "circuitgen/suites.h"
 #include "common/fault.h"
+#include "common/metrics.h"
 #include "daemon/client.h"
+#include "daemon/job_table.h"
 #include "daemon/net.h"
 #include "daemon/protocol.h"
 #include "daemon/server.h"
@@ -288,6 +296,208 @@ TEST_F(SpoolTest, SizeCapEvictsOldestFetchedFirstAndSparesUnfetched) {
   for (const char* id : {"a", "b", "c", "d"}) spool.mark_fetched(id);
   spool.gc();
   EXPECT_EQ(spool.ids(), (std::vector<std::string>{"c", "d"}));
+}
+
+// --- the job table (DESIGN.md §13) -----------------------------------------
+
+JobTable::Config table_config(const std::string& name, int workers) {
+  JobTable::Config cfg;
+  cfg.name = name;
+  cfg.id_prefix = "t";
+  cfg.workers = workers;
+  return cfg;
+}
+
+std::int64_t registry_counter(const std::string& name) {
+  const auto snap = common::MetricsRegistry::instance().snapshot();
+  const auto it = snap.counters.find(name);
+  return it == snap.counters.end() ? 0 : it->second;
+}
+
+TEST(JobTable, StopAndLateDeadlinesBumpEveryCounter) {
+  // stop() cancels queued jobs, and a queued job whose deadline passed is
+  // timed out by the worker that pops it; both count in the table's stats
+  // and in the registry.
+  {
+    JobTable table(table_config("jt_stop", 1), [](const std::string&, const core::AttackJobSpec&) {
+      return JobResult();
+    });
+    std::string id;
+    ASSERT_EQ(table.submit({}, &id), Admission::kAccepted);
+    ASSERT_EQ(table.submit({}, &id), Admission::kAccepted);
+    table.stop();  // never started: both jobs are still queued
+    EXPECT_EQ(table.status("t1")->state, JobState::kCancelled);
+    EXPECT_EQ(table.status("t2")->result.error, "jt_stop stopped");
+    EXPECT_EQ(table.submit({}, &id), Admission::kDraining);
+    common::Json stats = common::Json::object();
+    table.add_stats(stats);
+    EXPECT_EQ(stats.int_or("jobs_cancelled", 0), 2);
+    if (common::metrics_enabled()) {
+      EXPECT_EQ(registry_counter("jt_stop.jobs_cancelled"), 2);
+    }
+  }
+  std::promise<void> gate;
+  std::shared_future<void> open = gate.get_future().share();
+  JobTable table(table_config("jt_deadline", 1),
+                 [open](const std::string&, const core::AttackJobSpec&) {
+                   open.wait();
+                   return JobResult();
+                 });
+  table.start();
+  std::string blocker, late;
+  ASSERT_EQ(table.submit({}, &blocker), Admission::kAccepted);
+  core::AttackJobSpec spec;
+  spec.timeout_seconds = 1e-6;
+  ASSERT_EQ(table.submit(spec, &late), Admission::kAccepted);
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  gate.set_value();
+  const auto v = table.wait(late);
+  EXPECT_EQ(v->state, JobState::kTimeout);
+  EXPECT_EQ(v->result.error, "deadline passed before the job started");
+  EXPECT_EQ(table.wait(blocker)->state, JobState::kDone);
+  if (common::metrics_enabled()) {
+    EXPECT_EQ(registry_counter("jt_deadline.jobs_timeout"), 1);
+  }
+}
+
+TEST(JobTable, RandomizedLifecycleStress) {
+  // Eight threads share one table for about two seconds and submit, wait,
+  // look up, cancel and (rarely) drain at random against a fake runner that
+  // sleeps briefly and sometimes throws. Every observation is checked:
+  //   * an id reaches exactly one terminal state and never leaves it;
+  //   * a cancelled job's runner never runs;
+  //   * an unknown id is always one its owner has had delivered;
+  //   * at the end, submitted = completed + failed + cancelled + timeout.
+  // Each thread waits on and looks up only the ids it submitted, so
+  // "delivered" is known exactly without racing other threads.
+  constexpr int kThreads = 8;
+  const auto run_for = std::chrono::seconds(2);
+
+  std::mutex obs_m;  // guards the three observation sets
+  std::unordered_map<std::string, JobState> terminal;  // first terminal state seen
+  std::unordered_set<std::string> ran;                 // ids a runner started
+  std::unordered_set<std::string> delivered;           // ids a wait delivered
+  std::atomic<int> violations{0};
+
+  JobTable::Config cfg = table_config("jt_stress", 3);
+  cfg.max_queue = 32;  // keeps blocking waits short; QUEUE_FULL is one more outcome
+  JobTable table(std::move(cfg),
+                 [&](const std::string& id, const core::AttackJobSpec& spec) {
+                   {
+                     std::lock_guard<std::mutex> lock(obs_m);
+                     const auto it = terminal.find(id);
+                     if (it != terminal.end() && it->second == JobState::kCancelled) ++violations;
+                     ran.insert(id);
+                   }
+                   std::this_thread::sleep_for(std::chrono::microseconds(spec.seed % 1500));
+                   if (spec.seed % 7 == 0) throw std::runtime_error("injected failure");
+                   JobResult r;
+                   r.manifest = common::Json::object();
+                   r.manifest["seed"] = static_cast<std::int64_t>(spec.seed);
+                   r.key_string = "01";
+                   return r;
+                 });
+  table.start();
+
+  // Records one lookup of an id the calling thread owns.
+  const auto observe = [&](const std::string& id, const std::optional<JobView>& v) {
+    std::lock_guard<std::mutex> lock(obs_m);
+    if (!v) {
+      EXPECT_TRUE(delivered.count(id)) << id << " was evicted before its result was delivered";
+      return;
+    }
+    const auto it = terminal.find(id);
+    if (it != terminal.end()) {
+      EXPECT_EQ(to_string(v->state), std::string(to_string(it->second)))
+          << id << " left its terminal state";
+    } else if (is_terminal(v->state)) {
+      terminal.emplace(id, v->state);
+    }
+  };
+
+  std::atomic<bool> drain_requested{false};
+  const auto t0 = std::chrono::steady_clock::now();
+  std::vector<std::vector<std::string>> owned(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::mt19937_64 rng(0x5eed + static_cast<std::uint64_t>(t));
+      std::vector<std::string>& mine = owned[static_cast<std::size_t>(t)];
+      while (std::chrono::steady_clock::now() - t0 < run_for) {
+        const unsigned op = static_cast<unsigned>(rng() % 100);
+        if (op < 40 || mine.empty()) {
+          core::AttackJobSpec spec;
+          spec.seed = rng();
+          if (spec.seed % 10 == 0) spec.timeout_seconds = 1e-4;  // expires queued or running
+          const bool drained_before = drain_requested.load() && table.draining();
+          std::string id;
+          const Admission a = table.submit(std::move(spec), &id);
+          if (a == Admission::kAccepted) {
+            EXPECT_FALSE(drained_before) << "submit accepted after a drain";
+            mine.push_back(id);
+          } else if (a == Admission::kDraining) {
+            EXPECT_TRUE(drain_requested.load()) << "submit refused without a drain";
+          }
+          continue;
+        }
+        const std::string& id = mine[rng() % mine.size()];
+        if (op < 65) {
+          static constexpr long kTimeouts[] = {0, 1, 5, -1};
+          const auto v = table.wait(id, kTimeouts[rng() % 4]);
+          observe(id, v);
+          if (v && is_terminal(v->state)) {
+            std::lock_guard<std::mutex> lock(obs_m);
+            delivered.insert(id);
+          }
+        } else if (op < 85) {
+          observe(id, table.status(id));
+        } else if (op < 99 || std::chrono::steady_clock::now() - t0 < run_for * 3 / 4 ||
+                   rng() % 64 != 0) {
+          observe(id, table.cancel(id));
+        } else {
+          drain_requested = true;
+          table.drain();
+          EXPECT_TRUE(table.draining());
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  table.stop();  // cancels what is still queued, joins the workers
+
+  std::uint64_t known = 0, total = 0;
+  for (const auto& mine : owned) {
+    for (const std::string& id : mine) {
+      ++total;
+      const auto v = table.status(id);
+      observe(id, v);
+      if (!v) continue;
+      ++known;
+      EXPECT_TRUE(is_terminal(v->state)) << id << " is " << to_string(v->state) << " after stop";
+      if (v->state == JobState::kCancelled) {
+        std::lock_guard<std::mutex> lock(obs_m);
+        EXPECT_FALSE(ran.count(id)) << "cancelled job " << id << " ran";
+      }
+    }
+  }
+  EXPECT_EQ(violations.load(), 0) << "a runner started a cancelled job";
+  EXPECT_GT(total, 2 * kRetainedDelivered) << "the stress run submitted too little to evict";
+  EXPECT_LT(known, total) << "no delivered record was ever evicted";
+
+  common::Json stats = common::Json::object();
+  table.add_stats(stats);
+  const std::int64_t submitted = stats.int_or("jobs_submitted", -1);
+  EXPECT_EQ(submitted, static_cast<std::int64_t>(total));
+  EXPECT_EQ(submitted, stats.int_or("jobs_completed", 0) + stats.int_or("jobs_failed", 0) +
+                           stats.int_or("jobs_cancelled", 0) + stats.int_or("jobs_timeout", 0));
+  EXPECT_GT(stats.int_or("jobs_completed", 0), 0);
+  EXPECT_GT(stats.int_or("jobs_failed", 0), 0);
+  if (common::metrics_enabled()) {
+    for (const char* c : {"jobs_submitted", "jobs_completed", "jobs_failed", "jobs_cancelled",
+                          "jobs_timeout"}) {
+      EXPECT_EQ(registry_counter(std::string("jt_stress.") + c), stats.int_or(c, -1)) << c;
+    }
+  }
 }
 
 // --- end-to-end daemon contracts -------------------------------------------
@@ -642,6 +852,42 @@ TEST_F(DaemonE2E, QueueBoundRefusesExcessSubmits) {
     EXPECT_EQ(e.code(), static_cast<int>(ErrorCode::kQueueFull));
   }
   EXPECT_EQ(client.wait_for_result(queued_id).string_or("state", ""), "DONE");
+  server.stop();
+}
+
+TEST_F(DaemonE2E, DeliveredRecordsAreEvictedPastTheBoundUndeliveredStay) {
+  DaemonOptions dopts;
+  dopts.socket_path = socket_path("bound");
+  dopts.workers = 1;
+  DaemonServer server(dopts);
+  server.start();
+
+  // A bench that does not parse fails its job at once, so the table fills
+  // fast; FAILED is terminal and counts as delivered like DONE.
+  DaemonClient client(client_options("unix:" + dopts.socket_path));
+  core::AttackJobSpec bad = small_job(1);
+  bad.bench = "not a netlist";
+  const std::string pinned = client.submit(bad);  // never fetched below
+  std::vector<std::string> delivered;
+  for (std::size_t i = 0; i <= kRetainedDelivered; ++i) {
+    delivered.push_back(client.submit(bad));
+    ASSERT_EQ(client.wait_for_result(delivered.back()).string_or("state", ""), "FAILED");
+  }
+  EXPECT_EQ(client.status(pinned).string_or("state", ""), "FAILED");
+
+  // The oldest delivery is gone for every request type; the next one and
+  // the never-fetched job still answer.
+  try {
+    client.result(delivered.front());
+    FAIL() << "expected DaemonError(kUnknownJob)";
+  } catch (const DaemonError& e) {
+    EXPECT_EQ(e.code(), static_cast<int>(ErrorCode::kUnknownJob));
+  }
+  EXPECT_THROW(client.status(delivered.front()), DaemonError);
+  EXPECT_EQ(client.result(delivered[1]).string_or("state", ""), "FAILED");
+  EXPECT_EQ(client.result(pinned).string_or("state", ""), "FAILED");
+  EXPECT_EQ(client.stats().int_or("jobs_failed", 0),
+            static_cast<std::int64_t>(kRetainedDelivered) + 2);
   server.stop();
 }
 

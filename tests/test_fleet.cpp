@@ -1,8 +1,8 @@
 // Fleet coordinator suite (DESIGN.md §14): breaker state machine and
 // deterministic backoff units, campaign-via-fleet byte-identity at 1/2/3
 // backends, backend kill/restart mid-run failover, hedged duplicate-result
-// byte-compare, local degradation when every backend is unreachable, and
-// the coordinator-side results spool.
+// byte-compare, local degradation when every backend is unreachable, the
+// coordinator-side results spool, and the job table's bound.
 //
 // Registered as a single ctest entry: the E2E drills run real (tiny)
 // attack jobs against in-process DaemonServers, and the heavy budget
@@ -21,6 +21,7 @@
 #include "circuitgen/suites.h"
 #include "common/fault.h"
 #include "common/thread_pool.h"
+#include "daemon/job_table.h"
 #include "daemon/server.h"
 #include "eval/campaign.h"
 #include "fleet/coordinator.h"
@@ -35,7 +36,6 @@ using namespace muxlink;
 using fleet::BackendHealth;
 using fleet::FleetCoordinator;
 using fleet::FleetOptions;
-using fleet::Priority;
 
 // --- Breaker state machine -------------------------------------------------
 
@@ -212,7 +212,7 @@ TEST_F(FleetE2E, CampaignAggregateByteIdenticalAtOneTwoThreeBackends) {
   for (const int n : {1, 2, 3}) {
     std::vector<std::unique_ptr<daemon::DaemonServer>> servers;
     auto opts = tiny_campaign(tmp_ / ("camp-fleet" + std::to_string(n)));
-    opts.fleet_backends = start_backends(servers, "camp" + std::to_string(n) + "-", n);
+    opts.fleet.backends = start_backends(servers, "camp" + std::to_string(n) + "-", n);
     const auto result = eval::run_campaign(opts);
     EXPECT_EQ(result.cells.size(), 4u);
     EXPECT_EQ(slurp(result.aggregate_path), baseline)
@@ -227,11 +227,11 @@ TEST_F(FleetE2E, CampaignSurvivesBackendKilledAndRestartedMidRun) {
 
   std::vector<std::unique_ptr<daemon::DaemonServer>> servers;
   auto opts = tiny_campaign(tmp_ / "chaos-fleet");
-  opts.fleet_backends = start_backends(servers, "chaos", 2);
+  opts.fleet.backends = start_backends(servers, "chaos", 2);
   // Tight failover so retries land inside the test budget.
-  opts.fleet_dispatch_timeout_ms = 4000;
-  opts.fleet_max_attempts = 6;
-  opts.fleet_retry_budget = 64;
+  opts.fleet.dispatch_timeout_ms = 4000;
+  opts.fleet.max_attempts_per_job = 6;
+  opts.fleet.retry_budget = 64;
 
   // Kill backend 0 shortly after the sweep starts, then restart it on the
   // same socket: in-flight jobs fail over, and the breaker re-admits the
@@ -264,12 +264,12 @@ TEST_F(FleetE2E, HedgedDuplicateResultsAreByteComparedNotDoubleDelivered) {
   std::vector<std::unique_ptr<daemon::DaemonServer>> servers;
   FleetOptions fopts;
   fopts.backends = start_backends(servers, "hedge", 2);
-  fopts.hedge_after_ms = 1;  // hedge as soon as the second runner idles
+  fopts.hedge_after_ms = 1;  // hedge as soon as the first long-poll slice ends
   fopts.allow_local_fallback = false;
   FleetCoordinator coord(fopts);
   coord.start();
 
-  const auto r = coord.run(small_job(3), Priority::kInteractive);
+  const auto r = coord.run(small_job(3));
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.key_string.size(), 8u);
 
@@ -301,7 +301,7 @@ TEST_F(FleetE2E, AllBackendsDeadDegradesToLocalWithIdenticalBytes) {
   FleetCoordinator coord(fopts);
   coord.start();
 
-  const auto r = coord.run(small_job(5), Priority::kCampaign);
+  const auto r = coord.run(small_job(5));
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.backend, "local");
   EXPECT_EQ(r.manifest.dump(), direct.manifest.dump())
@@ -319,7 +319,7 @@ TEST_F(FleetE2E, JobFailsAfterAttemptCapNamingTheDeadBackend) {
   FleetOptions fopts;
   fopts.backends = {"unix:" + socket_path("still-nobody")};
   // Keep the breaker out of the race: a slow heartbeat cadence and loose
-  // thresholds leave the backend optimistically claimable while the runner
+  // thresholds leave the backend optimistically claimable while the worker
   // burns the per-job attempt cap.
   fopts.heartbeat_interval_ms = 10000;
   fopts.heartbeat_timeout_ms = 200;
@@ -351,9 +351,9 @@ TEST_F(FleetE2E, QueuedJobsFailWhenWholeFleetEjectedAndFallbackDisabled) {
   fopts.suspect_after_failures = 1;
   fopts.eject_after_failures = 1;
   fopts.connect_attempts = 1;
-  // An attempt cap far above what the runner can burn before ejection: the
-  // job must terminate through the all-ejected sweep, not attempt
-  // exhaustion — without the sweep its waiter would block forever.
+  // An attempt cap far above what the worker can burn before ejection: the
+  // job must terminate because the whole fleet is ejected, not by attempt
+  // exhaustion — without that check its waiter would block forever.
   fopts.max_attempts_per_job = 100;
   fopts.backoff_base_ms = 1;
   fopts.backoff_cap_ms = 5;
@@ -369,6 +369,32 @@ TEST_F(FleetE2E, QueuedJobsFailWhenWholeFleetEjectedAndFallbackDisabled) {
   coord.stop();
 }
 
+TEST_F(FleetE2E, StopWakesAWorkerSleepingInItsRetryBackoff) {
+  FleetOptions fopts;
+  fopts.backends = {"unix:" + socket_path("backoff-nobody")};
+  fopts.heartbeat_interval_ms = 10000;
+  fopts.suspect_after_failures = 10;
+  fopts.eject_after_failures = 100;
+  fopts.connect_attempts = 1;
+  fopts.backoff_base_ms = 60000;  // a retry the test must never wait out
+  fopts.backoff_cap_ms = 60000;
+  fopts.allow_local_fallback = false;
+  FleetCoordinator coord(fopts);
+  coord.start();
+
+  const std::string id = coord.submit(small_job(8));
+  while (coord.stats_json().number_or("retries", 0.0) < 1.0) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const auto t0 = std::chrono::steady_clock::now();
+  coord.stop();
+  EXPECT_LT(std::chrono::steady_clock::now() - t0, std::chrono::seconds(5))
+      << "stop() waited out the backoff";
+  const auto r = coord.wait(id);
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("stopped"), std::string::npos) << r.error;
+}
+
 TEST_F(FleetE2E, SpoolPersistsResultsAndWaitMarksThemFetched) {
   const fs::path spool = tmp_ / "coord-spool";
   std::vector<std::unique_ptr<daemon::DaemonServer>> servers;
@@ -378,7 +404,7 @@ TEST_F(FleetE2E, SpoolPersistsResultsAndWaitMarksThemFetched) {
   FleetCoordinator coord(fopts);
   coord.start();
 
-  const std::string id = coord.submit(small_job(9), Priority::kBulk);
+  const std::string id = coord.submit(small_job(9));
   EXPECT_EQ(id, "f1");
   const auto r = coord.wait(id);
   EXPECT_TRUE(r.ok) << r.error;
@@ -396,34 +422,34 @@ TEST_F(FleetE2E, SpoolPersistsResultsAndWaitMarksThemFetched) {
   for (auto& s : servers) s->stop();
 }
 
-TEST_F(FleetE2E, PrioritiesDrainCampaignBeforeBulk) {
-  // One single-worker backend, jobs submitted bulk-first while the first
-  // job occupies the worker: the campaign-priority job must still complete
-  // (ordering is observable only via the claim order; with one runner the
-  // completion order of the queued pair proves the priority sort).
-  std::vector<std::unique_ptr<daemon::DaemonServer>> servers;
+TEST_F(FleetE2E, DeliveredResultsAreEvictedPastTheBoundUndeliveredStay) {
+  // No backends: every job runs locally, and a bench that does not parse
+  // fails it at once (one attempt, no retry), so the table fills fast.
   FleetOptions fopts;
-  fopts.backends = start_backends(servers, "prio", 1);
+  fopts.max_attempts_per_job = 1;
   FleetCoordinator coord(fopts);
   coord.start();
+  core::AttackJobSpec bad = small_job(1);
+  bad.bench = "not a netlist";
 
-  const std::string head = coord.submit(small_job(11), Priority::kBulk);
-  const std::string bulk = coord.submit(small_job(12), Priority::kBulk);
-  const std::string camp = coord.submit(small_job(13), Priority::kCampaign);
+  const std::string pinned = coord.submit(bad);  // never waited on below
+  std::vector<std::string> delivered;
+  for (std::size_t i = 0; i <= daemon::kRetainedDelivered; ++i) {
+    delivered.push_back(coord.submit(bad));
+    const auto r = coord.wait(delivered.back());
+    ASSERT_FALSE(r.ok);
+    EXPECT_NE(r.error.find("local execution failed"), std::string::npos) << r.error;
+  }
+  EXPECT_EQ(pinned, "f1");
+  EXPECT_EQ(delivered.back(), "f" + std::to_string(daemon::kRetainedDelivered + 2));
 
-  const auto rc = coord.wait(camp);
-  const auto rb = coord.wait(bulk);
-  const auto rh = coord.wait(head);
-  EXPECT_TRUE(rc.ok) << rc.error;
-  EXPECT_TRUE(rb.ok) << rb.error;
-  EXPECT_TRUE(rh.ok) << rh.error;
-
-  const common::Json stats = coord.stats_json();
-  EXPECT_EQ(stats.number_or("jobs_completed", 0.0), 3.0);
-  EXPECT_EQ(stats.number_or("jobs_failed", -1.0), 0.0);
-
+  // The oldest delivery is gone; the next one and the undelivered job stay.
+  EXPECT_THROW(coord.wait(delivered.front()), std::invalid_argument);
+  EXPECT_FALSE(coord.wait(delivered[1]).ok);
+  const auto r = coord.wait(pinned);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.attempts, 1);
   coord.stop();
-  for (auto& s : servers) s->stop();
 }
 
 }  // namespace

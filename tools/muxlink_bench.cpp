@@ -833,7 +833,7 @@ Gates run_fleet(const Context& ctx, common::RunManifest& m) {
         Dispatched out;
         const auto t0 = Clock::now();
         std::vector<std::string> ids;
-        for (const auto& spec : specs) ids.push_back(coord.submit(spec, fleet::Priority::kBulk));
+        for (const auto& spec : specs) ids.push_back(coord.submit(spec));
         for (const std::string& id : ids) {
           const fleet::FleetJobResult r = coord.wait(id);
           out.manifests.push_back(r.ok ? r.manifest.dump_pretty() : std::string());

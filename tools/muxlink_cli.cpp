@@ -669,13 +669,13 @@ int cmd_campaign(const CliArgs& args) {
   opts.resume = args.has("resume");
   // Fleet mode (DESIGN.md §14): dispatch every cell's attack to these
   // muxlinkd backends. The aggregate stays byte-identical to a local run.
-  if (const auto v = args.get("fleet")) opts.fleet_backends = split_list(*v);
-  opts.fleet_spool_dir = args.get_or("fleet-spool", "");
-  opts.fleet_hedge_after_ms = static_cast<int>(args.get_long("fleet-hedge-ms", 0));
-  opts.fleet_max_attempts = static_cast<int>(args.get_long("fleet-max-attempts", 4));
-  opts.fleet_retry_budget = static_cast<int>(args.get_long("fleet-retry-budget", 64));
-  opts.fleet_dispatch_timeout_ms = args.get_long("fleet-dispatch-timeout-ms", 0);
-  opts.fleet_local_fallback = !args.has("fleet-no-local-fallback");
+  if (const auto v = args.get("fleet")) opts.fleet.backends = split_list(*v);
+  opts.fleet.spool_dir = args.get_or("fleet-spool", "");
+  opts.fleet.hedge_after_ms = static_cast<int>(args.get_long("fleet-hedge-ms", 0));
+  opts.fleet.max_attempts_per_job = static_cast<int>(args.get_long("fleet-max-attempts", 4));
+  opts.fleet.retry_budget = static_cast<int>(args.get_long("fleet-retry-budget", 64));
+  opts.fleet.dispatch_timeout_ms = args.get_long("fleet-dispatch-timeout-ms", 0);
+  opts.fleet.allow_local_fallback = !args.has("fleet-no-local-fallback");
   if (const long w = args.get_long("workers", 0); w > 0) {
     common::set_num_threads(static_cast<std::size_t>(w));
   }

@@ -51,7 +51,6 @@ attack knobs (one job per BENCH file):
   --zoo [--zoo-dir D] serve trained models from the zoo
 
 fleet knobs:
-  --priority P        campaign | interactive | bulk (default interactive)
   --max-attempts N    dispatches per job incl. the first (default 4)
   --retry-budget N    fleet-wide re-dispatch allowance (default 64)
   --dispatch-timeout-ms N  per-dispatch failover deadline (0 = none)
@@ -99,7 +98,7 @@ int main(int argc, char** argv) {
   const CliArgs args(argc - 1, argv + 1);
   try {
     args.allow_only({"backends", "probe", "attack", "scheme", "hops", "th", "epochs", "lr",
-                     "links", "seed", "zoo", "zoo-dir", "priority", "max-attempts",
+                     "links", "seed", "zoo", "zoo-dir", "max-attempts",
                      "retry-budget", "dispatch-timeout-ms", "hedge-ms", "heartbeat-ms",
                      "no-local-fallback", "spool", "spool-max-bytes", "spool-ttl", "out-dir",
                      "stats", "help"});
@@ -120,17 +119,6 @@ int main(int argc, char** argv) {
     fopts.spool_dir = args.get_or("spool", "");
     fopts.spool_max_bytes = static_cast<std::uint64_t>(args.get_long("spool-max-bytes", 0));
     fopts.spool_ttl_seconds = args.get_long("spool-ttl", 0);
-
-    fleet::Priority prio = fleet::Priority::kInteractive;
-    const std::string prio_name = args.get_or("priority", "interactive");
-    if (prio_name == "campaign") {
-      prio = fleet::Priority::kCampaign;
-    } else if (prio_name == "bulk") {
-      prio = fleet::Priority::kBulk;
-    } else if (prio_name != "interactive") {
-      throw std::invalid_argument("unknown --priority '" + prio_name +
-                                  "' (valid: campaign, interactive, bulk)");
-    }
 
     if (args.has("probe")) {
       if (!args.positional().empty()) return usage();
@@ -173,7 +161,7 @@ int main(int argc, char** argv) {
     fleet::FleetCoordinator coord(fopts);
     coord.start();
     std::vector<std::string> ids;
-    for (const auto& spec : specs) ids.push_back(coord.submit(spec, prio));
+    for (const auto& spec : specs) ids.push_back(coord.submit(spec));
 
     const std::string out_dir = args.get_or("out-dir", "");
     if (!out_dir.empty()) std::filesystem::create_directories(out_dir);
